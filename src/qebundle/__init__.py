@@ -34,7 +34,6 @@ from .errors import (
     NoSignChangeError,
     PositivityError,
     QEError,
-    SingularPrefactorError,
     SingularVError,
 )
 from .geometry import MetricProfile, reconstruct_t
@@ -42,9 +41,8 @@ from .solver import (
     SolvedProfile,
     SolverConfig,
     alpha,
+    alpha_derivatives,
     alpha_integrand,
-    alpha_prime,
-    alpha_second,
     boundary_defect,
     boundary_slopes,
     solve,

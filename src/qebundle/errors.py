@@ -17,10 +17,6 @@ class SingularVError(QEError):
     """Some beta_i <= 0 at an evaluation point where V > 0 is required."""
 
 
-class SingularPrefactorError(QEError):
-    """V(s) = 0 at s > 0, so alpha's prefactor V^(-1) is singular there."""
-
-
 class PositivityError(QEError):
     """A profile violates beta_i > 0 or alpha > 0 on the interior.
 

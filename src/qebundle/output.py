@@ -168,7 +168,7 @@ def profile_table(
     n = len(s)
     a = mp.f**2
     ap = np.empty(n)
-    ap[1:-1] = sv.alpha_prime(s[1:-1], params, spec, config)
+    ap[1:-1] = sv.alpha_derivatives(s[1:-1], params, spec, config)[1]
     slope0, slope_end = sv.boundary_slopes(params, spec, config)
     ap[0], ap[-1] = slope0, slope_end
     cols = [s, a, ap]

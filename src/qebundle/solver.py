@@ -111,24 +111,26 @@ def _integral_break(params, spec, s):
     return [x0] if 0.0 < x0 < s else None
 
 
-def _integrate(params, spec, config, lo, hi):
-    # Split at the integrand's interior sign change: each piece is
-    # single-signed, so the relative quadrature tolerance is meaningful
-    # even when the total (the defect near a root) cancels to ~0.
-    brk = _integral_break(params, spec, hi) or []
-    pieces = [lo] + [b for b in brk if lo < b < hi] + [hi]
-    total = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        val, _ = quad(
+def _piece_integrals(params, spec, config, s):
+    """Integrals of the alpha integrand over [0, s], split at its sign change.
+
+    Each piece is single-signed, so the relative quadrature tolerance is
+    meaningful even when their sum (the defect near a root) cancels to
+    ~0, and the sum of their magnitudes is int_0^s |integrand| exactly.
+    Returned in order from 0 to s.
+    """
+    ends = [0.0] + (_integral_break(params, spec, s) or []) + [s]
+    return [
+        quad(
             lambda r: alpha_integrand(r, params, spec),
-            a,
-            b,
+            lo,
+            hi,
             epsabs=0.0,
             epsrel=config.quad_rel_tol,
             limit=config.max_subdivisions,
-        )
-        total += val
-    return total
+        )[0]
+        for lo, hi in zip(ends[:-1], ends[1:])
+    ]
 
 
 def alpha(s, params: cf.SolutionParams, spec: BundleSpec, config: SolverConfig = None):
@@ -157,44 +159,32 @@ def alpha(s, params: cf.SolutionParams, spec: BundleSpec, config: SolverConfig =
         y = [alpha(s - k * delta, params, spec, config) for k in (1, 2, 4)]
         return richardson(y[0], y[1], y[2])
     x = s + params.kappa0
-    return _integrate(params, spec, config, 0.0, s) / (v * x ** (spec.m - 1.0))
+    return sum(_piece_integrals(params, spec, config, s)) / (v * x ** (spec.m - 1.0))
 
 
-def _ode_pieces(s, params, spec):
+def alpha_derivatives(s, params: cf.SolutionParams, spec: BundleSpec, config: SolverConfig = None):
+    """(alpha, alpha', alpha'') at s from one evaluation of alpha.
+
+    alpha' = RHS - P alpha comes from the first-order ODE, and
+    differentiating it once gives alpha'' = RHS' - P' alpha - P alpha',
+    with RHS' = eps/2 - E/(s+kappa0)^2 and
+    P' = (log V)'' - (m-1)/(s+kappa0)^2. Needs all beta_i(s) > 0
+    (interior points when a blowdown end exists); endpoint slopes are
+    obtained by extrapolation, see boundary_slopes. Accepts scalar or
+    array s.
+    """
+    config = config or SolverConfig()
+    a = alpha(s, params, spec, config)
     x = np.asarray(s, dtype=float) + params.kappa0
     P = cf.logV_prime(s, params, spec) + (spec.m - 1.0) / x
     rhs = 0.5 * spec.epsilon * x + params.E / x
-    return x, P, rhs
-
-
-def alpha_prime(s, params: cf.SolutionParams, spec: BundleSpec, config: SolverConfig = None):
-    """alpha'(s) = RHS(s) - P(s) alpha(s), from the first-order ODE.
-
-    Needs all beta_i(s) > 0 (interior points when a blowdown end
-    exists); endpoint slopes are obtained by extrapolation, see
-    boundary_slopes.
-    """
-    config = config or SolverConfig()
-    a = alpha(s, params, spec, config)
-    _, P, rhs = _ode_pieces(s, params, spec)
-    out = rhs - P * a
-    return float(out) if np.ndim(s) == 0 else out
-
-
-def alpha_second(s, params: cf.SolutionParams, spec: BundleSpec, config: SolverConfig = None):
-    """alpha''(s) by differentiating the first-order ODE once.
-
-    alpha'' = RHS' - P' alpha - P alpha', with
-    RHS' = eps/2 - E/(s+kappa0)^2 and P' = (log V)'' - (m-1)/(s+kappa0)^2.
-    """
-    config = config or SolverConfig()
-    a = alpha(s, params, spec, config)
-    x, P, rhs = _ode_pieces(s, params, spec)
     ap = rhs - P * a
     rhs_p = 0.5 * spec.epsilon - params.E / (x * x)
     P_p = cf.logV_second(s, params, spec) - (spec.m - 1.0) / (x * x)
-    out = rhs_p - P_p * a - P * ap
-    return float(out) if np.ndim(s) == 0 else out
+    app = rhs_p - P_p * a - P * ap
+    if np.ndim(s) == 0:
+        return float(a), float(ap), float(app)
+    return a, ap, app
 
 
 def richardson(y1, y2, y3):
@@ -263,30 +253,13 @@ def boundary_defect(
             s=violation["s"],
             factor=violation["factor"],
         )
-    return _integrate(params, spec, config, 0.0, params.s_star)
+    return sum(_piece_integrals(params, spec, config, params.s_star))
 
 
 def defect_scale(params, spec, config: SolverConfig = None):
-    """int_0^{s_*} |integrand| dr, the natural magnitude scale for D.
-
-    Split exactly at the integrand's sign change so the integrand of
-    each piece is smooth.
-    """
+    """int_0^{s_*} |integrand| dr, the natural magnitude scale for D."""
     config = config or SolverConfig()
-    brk = _integral_break(params, spec, params.s_star)
-    pieces = [0.0] + (brk or []) + [params.s_star]
-    total = 0.0
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        val, _ = quad(
-            lambda r: abs(alpha_integrand(r, params, spec)),
-            lo,
-            hi,
-            epsabs=0.0,
-            epsrel=config.quad_rel_tol,
-            limit=config.max_subdivisions,
-        )
-        total += val
-    return total
+    return sum(abs(v) for v in _piece_integrals(params, spec, config, params.s_star))
 
 
 def solve(

@@ -2,7 +2,7 @@
 
 A bundle spec describes the base product M_1 x ... x M_r of Fano
 Kaehler-Einstein factors (complex dimension n_i, Fano index p_i, circle
-bundle twisting q_i), the quasi-Einstein parameter m > 1, the Einstein
+bundle twisting q_i), the finite quasi-Einstein parameter m > 1, the Einstein
 sign epsilon (fixed to -1 by the construction), and how each end of the
 interval compactifies: a smooth collapse of the circle fiber, or a
 blowdown where a complex-projective factor collapses together with it.
@@ -18,6 +18,7 @@ raised, so a caller can report all of them at once.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -107,15 +108,21 @@ def validate_spec(spec: BundleSpec) -> list:
         violations.append("factors: at least one base factor is required")
         return violations
 
+    def integer(x):
+        # bool is an int subclass, but True is not a dimension
+        return isinstance(x, int) and not isinstance(x, bool)
+
     for i, fac in enumerate(spec.factors, start=1):
-        if not isinstance(fac.n, int) or fac.n < 1:
+        if not integer(fac.n) or fac.n < 1:
             violations.append(f"factor {i}: n must be a positive integer, got {fac.n!r}")
-        if not isinstance(fac.p, int) or fac.p < 1:
+        if not integer(fac.p) or fac.p < 1:
             violations.append(f"factor {i}: p must be a positive integer, got {fac.p!r}")
-        if not isinstance(fac.q, int) or fac.q == 0:
+        if not integer(fac.q) or fac.q == 0:
             violations.append(f"factor {i}: q must be a nonzero integer, got {fac.q!r}")
 
-    if not (spec.m > 1.0):
+    if not math.isfinite(spec.m):
+        violations.append(f"m must be finite, got {spec.m!r}")
+    elif not (spec.m > 1.0):
         violations.append(f"m must exceed 1, got {spec.m!r}")
     if spec.epsilon != -1.0:
         violations.append(f"epsilon is fixed to -1 by the construction, got {spec.epsilon!r}")

@@ -44,20 +44,23 @@ from .spec import BundleSpec, EndpointType
 
 @dataclass(frozen=True)
 class ProfileSample:
-    """All profile values entering the residuals, at one s."""
+    """All profile values entering the residuals, on a grid of s.
 
-    s: float
-    alpha: float
-    alpha_prime: float
-    alpha_second: float
-    beta: tuple
-    beta_prime: tuple
-    beta_second: tuple
-    phi: float
-    phi_prime: float
-    V: float
-    logV_prime: float
-    logV_second: float
+    Every field has the shape of s; beta, beta_prime and beta_second
+    stack the factors first, with shape (r,) + shape(s).
+    """
+
+    s: np.ndarray
+    alpha: np.ndarray
+    alpha_prime: np.ndarray
+    alpha_second: np.ndarray
+    beta: np.ndarray
+    beta_prime: np.ndarray
+    beta_second: np.ndarray
+    phi: np.ndarray
+    phi_prime: np.ndarray
+    logV_prime: np.ndarray
+    logV_second: np.ndarray
 
 
 @dataclass
@@ -83,27 +86,26 @@ class ResidualReport:
     certified: bool
 
 
-def sample_at(s: float, params: cf.SolutionParams, spec: BundleSpec, config=None) -> ProfileSample:
-    """Evaluate every profile quantity at one interior point."""
+def sample_at(s, params: cf.SolutionParams, spec: BundleSpec, config=None) -> ProfileSample:
+    """Evaluate every profile quantity at interior points s (scalar or array)."""
     config = config or sv.SolverConfig()
-    s = float(s)
+    a, ap, app = sv.alpha_derivatives(s, params, spec, config)
     return ProfileSample(
         s=s,
-        alpha=sv.alpha(s, params, spec, config),
-        alpha_prime=sv.alpha_prime(s, params, spec, config),
-        alpha_second=sv.alpha_second(s, params, spec, config),
-        beta=tuple(cf.beta(i, s, params, spec) for i in range(spec.r)),
-        beta_prime=tuple(cf.beta_prime(i, s, params, spec) for i in range(spec.r)),
-        beta_second=tuple(cf.beta_second(i, s, params, spec) for i in range(spec.r)),
+        alpha=a,
+        alpha_prime=ap,
+        alpha_second=app,
+        beta=np.array([cf.beta(i, s, params, spec) for i in range(spec.r)]),
+        beta_prime=np.array([cf.beta_prime(i, s, params, spec) for i in range(spec.r)]),
+        beta_second=np.array([cf.beta_second(i, s, params, spec) for i in range(spec.r)]),
         phi=cf.phi(s, params),
         phi_prime=cf.phi_prime(s, params),
-        V=cf.V(s, params, spec),
         logV_prime=cf.logV_prime(s, params, spec),
         logV_second=cf.logV_second(s, params, spec),
     )
 
 
-def residual_25(sample: ProfileSample, spec: BundleSpec) -> float:
+def residual_25(sample: ProfileSample, spec: BundleSpec):
     """Residual of equation (I); phi'' = 0 for the linear phi."""
     ansum = 0.0
     for i, fac in enumerate(spec.factors):
@@ -118,7 +120,7 @@ def residual_25(sample: ProfileSample, spec: BundleSpec) -> float:
     )
 
 
-def residual_26(sample: ProfileSample, spec: BundleSpec) -> float:
+def residual_26(sample: ProfileSample, spec: BundleSpec):
     """Residual of equation (II)."""
     qsum = 0.0
     for i, fac in enumerate(spec.factors):
@@ -132,7 +134,7 @@ def residual_26(sample: ProfileSample, spec: BundleSpec) -> float:
     )
 
 
-def residual_27(sample: ProfileSample, i: int, spec: BundleSpec) -> float:
+def residual_27(sample: ProfileSample, i: int, spec: BundleSpec):
     """Residual of equation (III) for factor i."""
     fac = spec.factors[i]
     b, bp, bpp = sample.beta[i], sample.beta_prime[i], sample.beta_second[i]
@@ -147,7 +149,7 @@ def residual_27(sample: ProfileSample, i: int, spec: BundleSpec) -> float:
     )
 
 
-def mu_of_s(sample: ProfileSample, spec: BundleSpec) -> float:
+def mu_of_s(sample: ProfileSample, spec: BundleSpec):
     """LHS of the first integral (IV); constant = mu on exact solutions."""
     return (
         sample.phi * sample.phi_prime * sample.alpha_prime / 2.0
@@ -159,18 +161,18 @@ def mu_of_s(sample: ProfileSample, spec: BundleSpec) -> float:
     )
 
 
-def ansatz_residual(sample: ProfileSample, i: int, spec: BundleSpec) -> float:
+def ansatz_residual(sample: ProfileSample, i: int, spec: BundleSpec):
     """b''/b - (1/2)(b'/b)^2 + q^2/(2 b^2) for factor i (identically 0)."""
     fac = spec.factors[i]
     b, bp, bpp = sample.beta[i], sample.beta_prime[i], sample.beta_second[i]
     return bpp / b - 0.5 * (bp / b) ** 2 + fac.q**2 / (2.0 * b * b)
 
 
-def _ansatz_scale(sample: ProfileSample, i: int, spec: BundleSpec) -> float:
+def _ansatz_scale(sample: ProfileSample, i: int, spec: BundleSpec):
     """Magnitude of the largest term in the ansatz (all carry 1/b^2)."""
     fac = spec.factors[i]
     b, bp, bpp = sample.beta[i], sample.beta_prime[i], sample.beta_second[i]
-    return max(abs(bpp / b), 0.5 * (bp / b) ** 2, fac.q**2 / (2.0 * b * b))
+    return np.maximum(np.maximum(np.abs(bpp / b), 0.5 * (bp / b) ** 2), fac.q**2 / (2.0 * b * b))
 
 
 def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -229,20 +231,15 @@ def verify(
         )
 
     grid = chebyshev_grid(delta, s_star - delta, grid_size)
-    samples = [sample_at(s, params, spec, config) for s in grid]
+    sample = sample_at(grid, params, spec, config)
 
-    res25 = np.array([residual_25(sm, spec) for sm in samples])
-    res26 = np.array([residual_26(sm, spec) for sm in samples])
-    res27 = np.array([[residual_27(sm, i, spec) for i in range(spec.r)] for sm in samples])
-    mu_s = np.array([mu_of_s(sm, spec) for sm in samples])
-    ansatz = np.array(
-        [[ansatz_residual(sm, i, spec) for i in range(spec.r)] for sm in samples]
-    )
-    ansatz_scaled = np.array(
-        [
-            [abs(ansatz[j, i]) / _ansatz_scale(sm, i, spec) for i in range(spec.r)]
-            for j, sm in enumerate(samples)
-        ]
+    res25 = residual_25(sample, spec)
+    res26 = residual_26(sample, spec)
+    res27 = np.column_stack([residual_27(sample, i, spec) for i in range(spec.r)])
+    mu_s = mu_of_s(sample, spec)
+    ansatz = np.column_stack([ansatz_residual(sample, i, spec) for i in range(spec.r)])
+    ansatz_scaled = np.abs(ansatz) / np.column_stack(
+        [_ansatz_scale(sample, i, spec) for i in range(spec.r)]
     )
     mu_dev = float(np.max(np.abs(mu_s - params.mu)) / max(1.0, abs(params.mu)))
 
@@ -271,7 +268,7 @@ def verify(
 
     # Positivity of alpha on the grid (betas were vetted above).
     positivity_ok, violation = True, None
-    alpha_grid = np.array([sm.alpha for sm in samples])
+    alpha_grid = sample.alpha
     if np.any(alpha_grid <= 0.0):
         bad = int(np.argmax(alpha_grid <= 0.0))
         positivity_ok = False
@@ -280,33 +277,31 @@ def verify(
     # Finite-difference cross-checks at h = 1e-6 s_* on 10 interior points.
     h = 1e-6 * s_star
     fd_points = np.linspace(0.1 * s_star, 0.9 * s_star, 10)
-    fd_worst = 0.0
-    for s in fd_points:
-        s = float(s)
-        fd_a1 = (sv.alpha(s + h, params, spec, config) - sv.alpha(s - h, params, spec, config)) / (2 * h)
-        fd_a2 = (
-            sv.alpha_prime(s + h, params, spec, config)
-            - sv.alpha_prime(s - h, params, spec, config)
-        ) / (2 * h)
-        fd_l1 = (
-            np.log(cf.V(s + h, params, spec)) - np.log(cf.V(s - h, params, spec))
-        ) / (2 * h)
-        fd_l2 = (
-            cf.logV_prime(s + h, params, spec) - cf.logV_prime(s - h, params, spec)
-        ) / (2 * h)
-        fd_worst = max(
-            fd_worst,
-            abs(fd_a1 - sv.alpha_prime(s, params, spec, config)),
-            abs(fd_a2 - sv.alpha_second(s, params, spec, config)),
-            abs(fd_l1 - cf.logV_prime(s, params, spec))
-            / max(1.0, abs(cf.logV_prime(s, params, spec))),
-            abs(fd_l2 - cf.logV_second(s, params, spec))
-            / max(1.0, abs(cf.logV_second(s, params, spec))),
+    a_hi, ap_hi, _ = sv.alpha_derivatives(fd_points + h, params, spec, config)
+    a_lo, ap_lo, _ = sv.alpha_derivatives(fd_points - h, params, spec, config)
+    _, ap, app = sv.alpha_derivatives(fd_points, params, spec, config)
+    lp = cf.logV_prime(fd_points, params, spec)
+    lpp = cf.logV_second(fd_points, params, spec)
+    fd_l1 = (
+        np.log(cf.V(fd_points + h, params, spec)) - np.log(cf.V(fd_points - h, params, spec))
+    ) / (2 * h)
+    fd_l2 = (
+        cf.logV_prime(fd_points + h, params, spec) - cf.logV_prime(fd_points - h, params, spec)
+    ) / (2 * h)
+    fd_worst = float(
+        np.max(
+            [
+                np.abs((a_hi - a_lo) / (2 * h) - ap),
+                np.abs((ap_hi - ap_lo) / (2 * h) - app),
+                np.abs(fd_l1 - lp) / np.maximum(1.0, np.abs(lp)),
+                np.abs(fd_l2 - lpp) / np.maximum(1.0, np.abs(lpp)),
+            ]
         )
+    )
 
     # Leftover defect, against its natural scale.
-    defect = sv._integrate(params, spec, config, 0.0, s_star)
-    dscale = sv.defect_scale(params, spec, config)
+    pieces = sv._piece_integrals(params, spec, config, s_star)
+    defect, dscale = sum(pieces), sum(abs(v) for v in pieces)
 
     alpha_max = float(np.max(np.abs(alpha_grid)))
     checks = {}
@@ -352,10 +347,31 @@ def verify(
         boundary=boundary,
         positivity_ok=positivity_ok,
         positivity_violation=violation,
-        fd_check=float(fd_worst),
+        fd_check=fd_worst,
         checks=checks,
         certified=all(c["passed"] for c in checks.values()),
     )
+
+
+def _window_fits(mp, y):
+    """Local quartic fits in t over 7-sample windows of the reconstruction.
+
+    The windows are centred on the nodes with t in [0.1 l, 0.9 l],
+    thinned to about 200. y holds one column per fitted function (one
+    row per grid node). Returns the centre indices and, per centre and
+    column, the fitted value, d/dt and d2/dt2.
+    """
+    lo, hi = 0.1 * mp.total_length_l, 0.9 * mp.total_length_l
+    idx = np.where((mp.t >= lo) & (mp.t <= hi))[0]
+    idx = idx[:: max(1, len(idx) // 200)]
+    idx = idx[(idx >= 3) & (idx <= len(mp.t) - 4)]
+    fits = [
+        np.polynomial.polynomial.polyfit(mp.t[j - 3 : j + 4] - mp.t[j], y[j - 3 : j + 4], 4)
+        for j in idx
+    ]
+    # reshape keeps the (centre, coefficient, column) layout when no window fits
+    c = np.array(fits).reshape(len(idx), 5, y.shape[1])
+    return idx, c[:, 0], c[:, 1], 2.0 * c[:, 2]
 
 
 def verify_t_system(
@@ -378,29 +394,13 @@ def verify_t_system(
     """
     config = config or sv.SolverConfig()
     mp = reconstruct_t(params, spec, config, grid_size)
-    lo, hi = 0.1 * mp.total_length_l, 0.9 * mp.total_length_l
-    idx = np.where((mp.t >= lo) & (mp.t <= hi))[0]
-    # Thin out to ~200 evaluation points; each uses a 7-sample window.
-    step = max(1, len(idx) // 200)
-    worst = 0.0
-    for j in idx[::step]:
-        if j < 3 or j > len(mp.t) - 4:
-            continue
-        win = slice(j - 3, j + 4)
-        dt = mp.t[win] - mp.t[j]
-
-        def fit(y):
-            c = np.polynomial.polynomial.polyfit(dt, y, 4)
-            return c[0], c[1], 2.0 * c[2]  # value, d/dt, d2/dt2
-
-        f, fd, fdd = fit(mp.f[win])
-        v, vd, _ = fit(mp.v[win])
-        res = fdd / f + spec.m * fd * vd / (f * v) - 0.5 * spec.epsilon
-        for i, fac in enumerate(spec.factors):
-            g, gd, _ = fit(mp.g[win, i])
-            res += 2.0 * fac.n * fd * gd / (f * g) - 0.5 * fac.n * fac.q**2 * f**2 / g**4
-        worst = max(worst, abs(res))
-    return worst
+    _, val, d1, d2 = _window_fits(mp, np.column_stack([mp.f, mp.v, mp.g]))
+    f, fd, fdd, v, vd = val[:, 0], d1[:, 0], d2[:, 0], val[:, 1], d1[:, 1]
+    res = fdd / f + spec.m * fd * vd / (f * v) - 0.5 * spec.epsilon
+    for i, fac in enumerate(spec.factors):
+        g, gd = val[:, 2 + i], d1[:, 2 + i]
+        res += 2.0 * fac.n * fd * gd / (f * g) - 0.5 * fac.n * fac.q**2 * f**2 / g**4
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 def dsdt_consistency(
@@ -416,17 +416,6 @@ def dsdt_consistency(
     """
     config = config or sv.SolverConfig()
     mp = reconstruct_t(params, spec, config, grid_size)
-    lo, hi = 0.1 * mp.total_length_l, 0.9 * mp.total_length_l
-    idx = np.where((mp.t >= lo) & (mp.t <= hi))[0]
-    step = max(1, len(idx) // 200)
-    worst = 0.0
-    for j in idx[::step]:
-        if j < 3 or j > len(mp.t) - 4:
-            continue
-        win = slice(j - 3, j + 4)
-        dt = mp.t[win] - mp.t[j]
-        c = np.polynomial.polynomial.polyfit(dt, mp.s[win], 4)
-        dsdt = c[1]
-        f = mp.f[j]
-        worst = max(worst, abs(dsdt - f) / abs(f))
-    return worst
+    idx, _, dsdt, _ = _window_fits(mp, mp.s[:, None])
+    f = mp.f[idx]
+    return float(np.max(np.abs(dsdt[:, 0] - f) / np.abs(f), initial=0.0))

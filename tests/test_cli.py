@@ -132,6 +132,15 @@ def test_cli_validate_invalid_spec(tmp_path, capsys):
     assert "|q|" in capsys.readouterr().err
 
 
+def test_cli_validate_infinite_m(tmp_path, capsys):
+    # json reads the non-standard literal Infinity as float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(dict(REF_DOC, m=float("inf"))))
+    assert "Infinity" in path.read_text()
+    assert main(["validate", str(path)]) == 2
+    assert "m must be finite" in capsys.readouterr().err
+
+
 def test_cli_validate_malformed_document(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(REF_DOC, typo=1)))

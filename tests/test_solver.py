@@ -12,9 +12,8 @@ from qebundle import (
     PositivityError,
     SolverConfig,
     alpha,
+    alpha_derivatives,
     alpha_integrand,
-    alpha_prime,
-    alpha_second,
     boundary_defect,
     boundary_slopes,
     solve,
@@ -268,16 +267,16 @@ def test_alpha_prime_matches_central_differences(ref_profile, ref_spec):
     f = lambda s: alpha(s, p, ref_spec)
     for s in np.linspace(0.1 * p.s_star, 0.9 * p.s_star, 10):
         fd = orc.central_first(f, s, h)
-        assert alpha_prime(s, p, ref_spec) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        assert alpha_derivatives(s, p, ref_spec)[1] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_alpha_second_matches_differenced_alpha_prime(ref_profile, ref_spec):
     p = ref_profile.params
     h = 1e-6 * p.s_star
-    f = lambda s: alpha_prime(s, p, ref_spec)
+    f = lambda s: alpha_derivatives(s, p, ref_spec)[1]
     for s in np.linspace(0.1 * p.s_star, 0.9 * p.s_star, 10):
         fd = orc.central_first(f, s, h)
-        assert alpha_second(s, p, ref_spec) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        assert alpha_derivatives(s, p, ref_spec)[2] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_boundary_slopes_are_plus_minus_two(ref_profile, ref_spec):

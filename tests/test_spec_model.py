@@ -58,6 +58,20 @@ def test_m_at_most_one_is_rejected():
     assert validate_spec(make([(2, 3, 1)], m=0.5))
 
 
+@pytest.mark.parametrize("m", [float("inf"), float("-inf")])
+def test_non_finite_m_is_rejected(m):
+    out = validate_spec(make([(2, 3, 1)], m=m))
+    assert len(out) == 1 and "m must be finite" in out[0]
+
+
+@pytest.mark.parametrize("key", ["n", "p", "q"])
+def test_boolean_dimension_data_is_rejected(key):
+    # bool is an int subclass; True must not pass as the integer 1
+    factor = {"n": 2, "p": 3, "q": 1, key: True}
+    out = validate_spec(make([(factor["n"], factor["p"], factor["q"])]))
+    assert any(f"{key} must be" in v for v in out)
+
+
 def test_epsilon_other_than_minus_one_is_rejected():
     spec = BundleSpec(factors=(FactorSpec(2, 3, 1),), m=2.0, epsilon=1.0)
     out = validate_spec(spec)
