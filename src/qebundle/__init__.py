@@ -3,9 +3,9 @@
 The pipeline: a BundleSpec fixes the base factors, the parameter m and
 the endpoint behavior; the closed-form layer determines beta_i, phi, V
 and the endpoint algebra from one free scalar kappa0; the solver
-evaluates alpha by quadrature and roots the remaining boundary
-condition alpha(s_*) = 0 over kappa0; the verifier certifies the
-result against every equation, boundary condition and positivity
+evaluates alpha from a fixed-order quadrature table and roots the
+remaining boundary condition alpha(s_*) = 0 over kappa0; the verifier
+certifies the result against every equation, boundary condition and positivity
 requirement with quantified tolerances.
 """
 

@@ -138,9 +138,9 @@ def cmd_verify(args) -> int:
 def cmd_profile(args) -> int:
     spec, profile, config = io.solution_from_dict(io.load_json(args.solution))
     params = profile.params
-    mp = reconstruct_t(params, spec, config, grid_size=args.grid)
+    mp = reconstruct_t(params, spec, grid_size=args.grid)
     if args.csv:
-        io.write_csv(args.csv, params, spec, config, mp)
+        io.write_csv(args.csv, params, spec, mp)
     if args.svg:
         report = vf.verify(profile, spec, grid_size=129, config=config)
         io.write_svg(args.svg, params, spec, report, mp)

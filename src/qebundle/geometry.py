@@ -10,8 +10,10 @@ alpha ~ 2(s_* - s) near s_*), so 1/sqrt(alpha) has integrable
 1/sqrt(r) singularities there. The end segments are integrated under
 the substitution r = w^2 (resp. r = s_* - w^2), which removes the
 singularity exactly; interior segments use fixed high-order
-Gauss-Legendre panels on the smooth integrand. The result is the
-metric profile in the original coordinates:
+Gauss-Legendre panels on the smooth integrand. The nodes of all panels,
+end panels included, form one (grid_size - 1, 12) array, so alpha is
+evaluated there in a single call (one table build, see solver.alpha).
+The result is the metric profile in the original coordinates:
 
     g = dt^2 + f^2(t) theta x theta + sum_i g_i^2(t) h_i,
     f = sqrt(alpha), g_i = sqrt(beta_i), v = phi,
@@ -56,16 +58,9 @@ class MetricProfile:
     total_length_l: float
 
 
-def _panel(func, lo, hi):
-    """Gauss-Legendre panel of func over [lo, hi]."""
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return half * float(np.sum(_GL_WEIGHTS * func(mid + half * _GL_NODES)))
-
-
 def reconstruct_t(
     params: cf.SolutionParams,
     spec: BundleSpec,
-    config: sv.SolverConfig = None,
     grid_size: int = 513,
 ) -> MetricProfile:
     """Rebuild the t-grid and metric functions on a uniform s-grid.
@@ -76,13 +71,12 @@ def reconstruct_t(
         If alpha <= 0 at an interior node (the profile was not
         certified, or params are not at a defect root).
     """
-    config = config or sv.SolverConfig()
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     s_star = params.s_star
     s = np.linspace(0.0, s_star, grid_size)
 
-    a = sv.alpha(s, params, spec, config)
+    a = sv.alpha(s, params, spec)
     a_scale = float(np.max(np.abs(a)))
     # Endpoint alphas are zero up to solver tolerance; clamp only those.
     for k in (0, grid_size - 1):
@@ -97,23 +91,21 @@ def reconstruct_t(
         k = int(interior_bad[0]) + 1
         raise NonPositiveAlphaError(f"alpha({s[k]:.6g}) = {a[k]:.3e} <= 0 at an interior node")
 
-    def inv_f(r):
-        return 1.0 / np.sqrt(sv.alpha(r, params, spec, config))
-
-    dt = np.zeros(grid_size)
-    # Left end segment [0, s_1]: r = s_1 w^2 turns the integrand into
-    # 2 s_1 w / sqrt(alpha(s_1 w^2)), smooth at w = 0 since alpha ~ 2r.
-    s1 = s[1]
-    dt[1] = _panel(lambda w: 2.0 * s1 * w / np.sqrt(sv.alpha(s1 * w * w, params, spec, config)), 0.0, 1.0)
-    for k in range(2, grid_size - 1):
-        dt[k] = _panel(inv_f, s[k - 1], s[k])
-    # Right end segment [s_{N-2}, s_*]: r = s_* - d w^2, d = s_* - s_{N-2}.
-    d_end = s_star - s[grid_size - 2]
-    dt[grid_size - 1] = _panel(
-        lambda w: 2.0 * d_end * w / np.sqrt(sv.alpha(s_star - d_end * w * w, params, spec, config)),
-        0.0,
-        1.0,
+    # One row of 12 Gauss-Legendre nodes per segment [s_{k-1}, s_k]. The
+    # end rows substitute r = s_1 w^2 and r = s_* - d w^2 (w in [0, 1],
+    # d = s_* - s_{N-2}), which turns the integrand into
+    # 2 s_1 w / sqrt(alpha(r)), resp. 2 d w / sqrt(alpha(r)): smooth at
+    # w = 0 since alpha vanishes linearly at a collapsing end. scale holds
+    # these factors times the half-width of each row's panel.
+    w = 0.5 * (1.0 + _GL_NODES)
+    mid, half = 0.5 * (s[2:-1] + s[1:-2]), 0.5 * (s[2:-1] - s[1:-2])
+    s1, d_end = s[1], s_star - s[grid_size - 2]
+    nodes = np.vstack(
+        [s1 * w * w, mid[:, None] + half[:, None] * _GL_NODES, s_star - d_end * w * w]
     )
+    scale = np.vstack([s1 * w, np.repeat(half[:, None], len(w), axis=1), d_end * w])
+    dt = np.zeros(grid_size)
+    dt[1:] = np.sum(_GL_WEIGHTS * scale / np.sqrt(sv.alpha(nodes, params, spec)), axis=1)
     t = np.cumsum(dt)
 
     beta_mat = np.column_stack([cf.beta(i, s, params, spec) for i in range(spec.r)])

@@ -160,7 +160,6 @@ def csv_header(r: int) -> str:
 def profile_table(
     params: cf.SolutionParams,
     spec: BundleSpec,
-    config: sv.SolverConfig,
     mp: MetricProfile,
 ):
     """Column-major profile data matching csv_header(spec.r)."""
@@ -168,8 +167,8 @@ def profile_table(
     n = len(s)
     a = mp.f**2
     ap = np.empty(n)
-    ap[1:-1] = sv.alpha_derivatives(s[1:-1], params, spec, config)[1]
-    slope0, slope_end = sv.boundary_slopes(params, spec, config)
+    ap[1:-1] = sv.alpha_derivatives(s[1:-1], params, spec)[1]
+    slope0, slope_end = sv.boundary_slopes(params, spec)
     ap[0], ap[-1] = slope0, slope_end
     cols = [s, a, ap]
     cols += [cf.beta(i, s, params, spec) for i in range(spec.r)]
@@ -183,10 +182,9 @@ def write_csv(
     path: str,
     params: cf.SolutionParams,
     spec: BundleSpec,
-    config: sv.SolverConfig,
     mp: MetricProfile,
 ):
-    cols = profile_table(params, spec, config, mp)
+    cols = profile_table(params, spec, mp)
     with open(path, "w") as fh:
         fh.write(csv_header(spec.r) + "\n")
         for row in zip(*cols):

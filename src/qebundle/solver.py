@@ -1,4 +1,4 @@
-"""Quadrature for alpha and the boundary-defect root-find over kappa0.
+"""The alpha table and the boundary-defect root-find over kappa0.
 
 With beta_i, phi, V in closed form, the remaining unknown alpha solves
 the first-order linear ODE
@@ -12,12 +12,19 @@ whose integrating factor V (s+kappa0)^(m-1) gives
     alpha(s) = V^(-1) (s+kappa0)^(1-m)
                * int_0^s V(r) (r+kappa0)^(m-2) (E + eps (r+kappa0)^2 / 2) dr.
 
+The integral is served from one composite Gauss-Legendre table per
+call: 16-point panels on each single-signed side of the integrand's
+sign change, their cumulative sums, and one partial panel from the
+nearest table edge to each query point.
+
 alpha(0) = 0 holds by construction; the one remaining boundary
 condition alpha(s_*) = 0 becomes a scalar root-find in kappa0. The
 defect is taken as the bare integral D(kappa0) = int_0^{s_*} ... dr
 (no prefactor): it has the same zeros wherever the prefactor is finite
 and positive, and stays well-defined at a right blowdown end where
-V(s_*) = 0.
+V(s_*) = 0. The defect keeps adaptive Gauss-Kronrod quadrature, so the
+root, and the verifier's check of the leftover defect, do not depend on
+the table.
 
 The solver scans a log-uniform kappa0 grid, records every sign change
 of D, polishes each to a root, and returns the smallest root as the
@@ -50,6 +57,10 @@ class SolverConfig:
         (absolute tolerance is 0 so small integrals keep relative
         accuracy near the collapsing ends).
     max_subdivisions : adaptive quadrature subdivision limit.
+
+    The two quadrature knobs govern only the defect integral and the
+    verifier's adaptive spot check of alpha; alpha itself comes from a
+    fixed-order table (see alpha).
     """
 
     bracket: tuple = (1e-3, 1e3)
@@ -133,36 +144,79 @@ def _piece_integrals(params, spec, config, s):
     ]
 
 
-def alpha(s, params: cf.SolutionParams, spec: BundleSpec, config: SolverConfig = None):
-    """alpha(s) from the integrating-factor formula, by adaptive quadrature.
+# Fixed-order rule for alpha: 16-point Gauss-Legendre panels, 64 across
+# [0, s_*], split evenly between the two single-signed sides of the
+# integrand when it changes sign inside.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+ALPHA_PANELS = 64
+# Intervals integrated per vectorised block: keeps each (block, 16)
+# temporary of the integrand near 128 kB however many points are asked.
+_GL_BLOCK = 1024
 
+
+def _gauss_legendre(lo, hi, params, spec):
+    """16-point Gauss-Legendre integrals of the alpha integrand, elementwise over [lo, hi]."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mid, half = (0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo)).ravel()
+    sums = np.empty(mid.size)
+    for k in range(0, mid.size, _GL_BLOCK):
+        r = mid[k : k + _GL_BLOCK, None] + half[k : k + _GL_BLOCK, None] * _GL_NODES
+        sums[k : k + _GL_BLOCK] = np.sum(_GL_WEIGHTS * alpha_integrand(r, params, spec), axis=-1)
+    return (half * sums).reshape(hi.shape)
+
+
+def _alpha_table(params, spec):
+    """Panel edges on [0, s_*] and the integral of the alpha integrand from 0 to each."""
+    s_star = params.s_star
+    brk = _integral_break(params, spec, s_star)
+    if brk:
+        half = ALPHA_PANELS // 2
+        edges = np.concatenate(
+            [np.linspace(0.0, brk[0], half + 1), np.linspace(brk[0], s_star, half + 1)[1:]]
+        )
+    else:
+        edges = np.linspace(0.0, s_star, ALPHA_PANELS + 1)
+    panels = _gauss_legendre(edges[:-1], edges[1:], params, spec)
+    return edges, np.concatenate([[0.0], np.cumsum(panels)])
+
+
+def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
+    """alpha(s) from the integrating-factor formula, by a Gauss-Legendre table.
+
+    Each call tabulates the integral at the panel edges of [0, s_*]
+    (see _alpha_table) and answers every point as the table value at
+    the nearest edge below it plus one 16-point panel from that edge.
     alpha(0) = 0 is returned exactly without quadrature. At s = s_*
     under a right blowdown V(s_*) = 0 makes the prefactor singular;
     there the one-sided limit is returned (Richardson extrapolation
     from s_* - delta*{1,2,4}), since alpha extends continuously.
     Accepts scalar or array s.
     """
-    config = config or SolverConfig()
-    if not np.ndim(s) == 0:
-        return np.array([alpha(float(sk), params, spec, config) for sk in np.asarray(s)])
-    s = float(s)
-    if s == 0.0:
-        return 0.0
-    v = cf.V(s, params, spec)
-    if v == 0.0:
+    edges, cum = _alpha_table(params, spec)
+
+    def interior(r, v):
+        k = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
+        integral = cum[k] + _gauss_legendre(edges[k], r, params, spec)
+        return integral / (v * (r + params.kappa0) ** (spec.m - 1.0))
+
+    s_arr = np.asarray(s, dtype=float)
+    v = np.asarray(cf.V(s_arr, params, spec))
+    out = np.zeros(s_arr.shape)
+    inner = (s_arr != 0.0) & (v != 0.0)
+    out[inner] = interior(s_arr[inner], v[inner])
+    end = (s_arr != 0.0) & (v == 0.0)
+    if np.any(end):
         # Quadrature noise in the numerator is divided by V ~ tau^{n_r}
         # approaching a vanishing-V endpoint, so the extrapolation base
         # step backs off further than the collapse-end value: 1e-4 s_*
         # sits in the valley between that amplification and the
         # O(delta^3) extrapolation truncation.
-        delta = BLOWDOWN_DELTA_FRAC * params.s_star
-        y = [alpha(s - k * delta, params, spec, config) for k in (1, 2, 4)]
-        return richardson(y[0], y[1], y[2])
-    x = s + params.kappa0
-    return sum(_piece_integrals(params, spec, config, s)) / (v * x ** (spec.m - 1.0))
+        r = s_arr[end] - BLOWDOWN_DELTA_FRAC * params.s_star * np.array([[1.0], [2.0], [4.0]])
+        out[end] = richardson(*interior(r, cf.V(r, params, spec)))
+    return float(out) if np.ndim(s) == 0 else out
 
 
-def alpha_derivatives(s, params: cf.SolutionParams, spec: BundleSpec, config: SolverConfig = None):
+def alpha_derivatives(s, params: cf.SolutionParams, spec: BundleSpec):
     """(alpha, alpha', alpha'') at s from one evaluation of alpha.
 
     alpha' = RHS - P alpha comes from the first-order ODE, and
@@ -173,8 +227,7 @@ def alpha_derivatives(s, params: cf.SolutionParams, spec: BundleSpec, config: So
     obtained by extrapolation, see boundary_slopes. Accepts scalar or
     array s.
     """
-    config = config or SolverConfig()
-    a = alpha(s, params, spec, config)
+    a = alpha(s, params, spec)
     x = np.asarray(s, dtype=float) + params.kappa0
     P = cf.logV_prime(s, params, spec) + (spec.m - 1.0) / x
     rhs = 0.5 * spec.epsilon * x + params.E / x
@@ -201,7 +254,7 @@ def richardson(y1, y2, y3):
 BLOWDOWN_DELTA_FRAC = 1e-4
 
 
-def boundary_slopes(params, spec, config: SolverConfig = None, delta_frac: float = 1e-6):
+def boundary_slopes(params, spec, delta_frac: float = 1e-6):
     """Extrapolated alpha'(0+) and alpha'(s_*-).
 
     Slopes are estimated from difference quotients alpha(delta)/delta
@@ -213,20 +266,18 @@ def boundary_slopes(params, spec, config: SolverConfig = None, delta_frac: float
     the 1/V noise amplification; the left end needs no such care since
     its quadrature error is local and vanishes with the step.
     """
-    config = config or SolverConfig()
+    steps = np.array([1.0, 2.0, 4.0])
     d = delta_frac * params.s_star
-    left = richardson(
-        *[alpha(k * d, params, spec, config) / (k * d) for k in (1, 2, 4)]
-    )
+    left = richardson(*(alpha(steps * d, params, spec) / (steps * d)))
     if spec.right is EndpointType.BLOWDOWN:
         d = BLOWDOWN_DELTA_FRAC * params.s_star
-    a_end = [alpha(params.s_star - k * d, params, spec, config) for k in (1, 2, 4)]
+    a_end = alpha(params.s_star - steps * d, params, spec)
     a_star = richardson(*a_end)
     # alpha(s_*-delta) ~ alpha(s_*) - alpha'(s_*) delta; remove the
     # extrapolated endpoint value so a nonzero defect does not bias the
     # slope estimate.
-    right = richardson(*[-(a_end[k] - a_star) / (2**k * d) for k in range(3)])
-    return left, right
+    right = richardson(*(-(a_end - a_star) / (steps * d)))
+    return float(left), float(right)
 
 
 def boundary_defect(
@@ -351,7 +402,7 @@ def solve(
             factor=violation["factor"],
         )
     s_grid = np.linspace(0.0, params.s_star, 66)[1:-1]
-    a_grid = alpha(s_grid, params, spec, config)
+    a_grid = alpha(s_grid, params, spec)
     if np.any(a_grid <= 0.0):
         bad = int(np.argmax(a_grid <= 0.0))
         raise PositivityError(

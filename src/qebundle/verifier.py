@@ -20,7 +20,9 @@ ansatz per factor, both endpoint quadratics, the boundary conditions
 (values directly, slopes by Richardson extrapolation — the outgoing
 slope -2 at s_* is emergent, never imposed), positivity, the leftover
 defect, and cross-checks every analytic derivative against central
-differences.
+differences. alpha' and alpha'' come from the ODE, so the residuals
+cannot see an inaccurate alpha table; the table is therefore also
+compared with adaptive quadrature at five interior points.
 
 A profile is *certified* when every named check passes its tolerance.
 Tolerances are tiered by the weakest numerical ingredient of each
@@ -86,10 +88,9 @@ class ResidualReport:
     certified: bool
 
 
-def sample_at(s, params: cf.SolutionParams, spec: BundleSpec, config=None) -> ProfileSample:
+def sample_at(s, params: cf.SolutionParams, spec: BundleSpec) -> ProfileSample:
     """Evaluate every profile quantity at interior points s (scalar or array)."""
-    config = config or sv.SolverConfig()
-    a, ap, app = sv.alpha_derivatives(s, params, spec, config)
+    a, ap, app = sv.alpha_derivatives(s, params, spec)
     return ProfileSample(
         s=s,
         alpha=a,
@@ -231,7 +232,7 @@ def verify(
         )
 
     grid = chebyshev_grid(delta, s_star - delta, grid_size)
-    sample = sample_at(grid, params, spec, config)
+    sample = sample_at(grid, params, spec)
 
     res25 = residual_25(sample, spec)
     res26 = residual_26(sample, spec)
@@ -245,9 +246,9 @@ def verify(
 
     # Boundary values and slopes. alpha(s_*) under a right blowdown is
     # the extrapolated one-sided limit (V(s_*) = 0 there).
-    alpha_at_0 = sv.alpha(0.0, params, spec, config)
-    alpha_at_sstar = sv.alpha(s_star, params, spec, config)
-    slope0, slope_end = sv.boundary_slopes(params, spec, config)
+    alpha_at_0 = sv.alpha(0.0, params, spec)
+    alpha_at_sstar = sv.alpha(s_star, params, spec)
+    slope0, slope_end = sv.boundary_slopes(params, spec)
     boundary = {
         "alpha_at_0": float(alpha_at_0),
         "alpha_at_sstar": float(alpha_at_sstar),
@@ -277,9 +278,9 @@ def verify(
     # Finite-difference cross-checks at h = 1e-6 s_* on 10 interior points.
     h = 1e-6 * s_star
     fd_points = np.linspace(0.1 * s_star, 0.9 * s_star, 10)
-    a_hi, ap_hi, _ = sv.alpha_derivatives(fd_points + h, params, spec, config)
-    a_lo, ap_lo, _ = sv.alpha_derivatives(fd_points - h, params, spec, config)
-    _, ap, app = sv.alpha_derivatives(fd_points, params, spec, config)
+    a_hi, ap_hi, _ = sv.alpha_derivatives(fd_points + h, params, spec)
+    a_lo, ap_lo, _ = sv.alpha_derivatives(fd_points - h, params, spec)
+    _, ap, app = sv.alpha_derivatives(fd_points, params, spec)
     lp = cf.logV_prime(fd_points, params, spec)
     lpp = cf.logV_second(fd_points, params, spec)
     fd_l1 = (
@@ -303,6 +304,15 @@ def verify(
     pieces = sv._piece_integrals(params, spec, config, s_star)
     defect, dscale = sum(pieces), sum(abs(v) for v in pieces)
 
+    # The table alpha against adaptive quadrature at a few interior points.
+    spot = s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    spot_quad = [
+        sum(sv._piece_integrals(params, spec, config, s))
+        / (cf.V(s, params, spec) * (s + params.kappa0) ** (spec.m - 1.0))
+        for s in spot
+    ]
+    spot_worst = float(np.max(np.abs(sv.alpha(spot, params, spec) - spot_quad)))
+
     alpha_max = float(np.max(np.abs(alpha_grid)))
     checks = {}
 
@@ -322,6 +332,7 @@ def verify(
     check("slope_at_sstar_plus_2", boundary["slope_at_sstar_plus_2"], TOL_SLOPE)
     check("fd_check", fd_worst, TOL_FD)
     check("defect_at_root", defect, 10.0 * config.quad_rel_tol * max(1.0, dscale))
+    check("alpha_quad_spot", spot_worst, TOL_RESIDUAL * max(1.0, alpha_max))
     for name in (
         "beta_left_at_0",
         "beta_left_slope_minus_1",
@@ -377,7 +388,6 @@ def _window_fits(mp, y):
 def verify_t_system(
     params: cf.SolutionParams,
     spec: BundleSpec,
-    config: sv.SolverConfig = None,
     grid_size: int = 257,
 ) -> float:
     """Spot-check the t-coordinate fiber equation on the reconstruction.
@@ -392,8 +402,7 @@ def verify_t_system(
     over the interior window t in [0.1 l, 0.9 l]. Finite-difference
     limited; expected below 1e-4 for certified profiles.
     """
-    config = config or sv.SolverConfig()
-    mp = reconstruct_t(params, spec, config, grid_size)
+    mp = reconstruct_t(params, spec, grid_size)
     _, val, d1, d2 = _window_fits(mp, np.column_stack([mp.f, mp.v, mp.g]))
     f, fd, fdd, v, vd = val[:, 0], d1[:, 0], d2[:, 0], val[:, 1], d1[:, 1]
     res = fdd / f + spec.m * fd * vd / (f * v) - 0.5 * spec.epsilon
@@ -406,7 +415,6 @@ def verify_t_system(
 def dsdt_consistency(
     params: cf.SolutionParams,
     spec: BundleSpec,
-    config: sv.SolverConfig = None,
     grid_size: int = 257,
 ) -> float:
     """Max relative deviation of the differenced ds/dt from sqrt(alpha).
@@ -414,8 +422,7 @@ def dsdt_consistency(
     ds = f dt is the coordinate change itself, so the reconstructed
     t-grid must satisfy ds/dt = f = sqrt(alpha) wherever alpha > 0.
     """
-    config = config or sv.SolverConfig()
-    mp = reconstruct_t(params, spec, config, grid_size)
+    mp = reconstruct_t(params, spec, grid_size)
     idx, _, dsdt, _ = _window_fits(mp, mp.s[:, None])
     f = mp.f[idx]
     return float(np.max(np.abs(dsdt[:, 0] - f) / np.abs(f), initial=0.0))

@@ -90,11 +90,10 @@ def test_csv_header_shape():
 
 
 def test_csv_round_trip(ref_profile, ref_spec, tmp_path):
-    cfg = SolverConfig()
-    mp = reconstruct_t(ref_profile.params, ref_spec, cfg, grid_size=65)
-    cols = profile_table(ref_profile.params, ref_spec, cfg, mp)
+    mp = reconstruct_t(ref_profile.params, ref_spec, grid_size=65)
+    cols = profile_table(ref_profile.params, ref_spec, mp)
     path = str(tmp_path / "prof.csv")
-    write_csv(path, ref_profile.params, ref_spec, cfg, mp)
+    write_csv(path, ref_profile.params, ref_spec, mp)
     header2, data2 = read_csv(path)
     assert header2 == csv_header(ref_spec.r)
     # repr-based float serialization round-trips bit exactly
@@ -102,10 +101,9 @@ def test_csv_round_trip(ref_profile, ref_spec, tmp_path):
 
 
 def test_csv_boundary_rows(ref_profile, ref_spec, tmp_path):
-    cfg = SolverConfig()
-    mp = reconstruct_t(ref_profile.params, ref_spec, cfg, grid_size=65)
+    mp = reconstruct_t(ref_profile.params, ref_spec, grid_size=65)
     cols_names = csv_header(ref_spec.r).split(",")
-    data = np.column_stack(profile_table(ref_profile.params, ref_spec, cfg, mp))
+    data = np.column_stack(profile_table(ref_profile.params, ref_spec, mp))
     first, last = data[0], data[-1]
     assert first[cols_names.index("s")] == 0.0
     assert first[cols_names.index("alpha")] == 0.0

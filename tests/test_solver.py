@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import oracles as orc
 from qebundle import (
@@ -11,6 +12,7 @@ from qebundle import (
     NoSignChangeError,
     PositivityError,
     SolverConfig,
+    V,
     alpha,
     alpha_derivatives,
     alpha_integrand,
@@ -293,16 +295,42 @@ def test_boundary_slopes_blowdown(blow_profile, blow_spec):
     assert abs(right + 2.0) < 1e-6
 
 
-def test_alpha_quadrature_tolerance_is_honest(ref_profile, ref_spec):
-    # halving the quadrature tolerance moves alpha by less than the
-    # advertised tolerance itself
-    p = ref_profile.params
-    loose = SolverConfig(quad_rel_tol=1e-8)
-    tight = SolverConfig(quad_rel_tol=1e-12)
-    for s in (0.7, 2.1, 3.6):
-        a_loose = alpha(s, p, ref_spec, loose)
-        a_tight = alpha(s, p, ref_spec, tight)
-        assert abs(a_loose - a_tight) <= 1e-8 * max(1.0, abs(a_tight)) * 10.0
+TABLE_SPECS = {
+    "ref": BundleSpec(factors=(FactorSpec(2, 3, 1),), m=2.0),
+    "blowdown": BundleSpec(
+        factors=(FactorSpec(1, 2, 1), FactorSpec(1, 3, 1)), m=2.0, left=BLOWDOWN
+    ),
+    "three-factor": BundleSpec(
+        factors=(FactorSpec(4, 5, 1), FactorSpec(3, 7, 2), FactorSpec(2, 3, 1)), m=5.5
+    ),
+    "m=1.5": BundleSpec(factors=(FactorSpec(2, 3, 1),), m=1.5),
+    # a left blowdown drawn by the benchmark's spec generator; certifies
+    "left-blowdown": BundleSpec(
+        factors=(FactorSpec(2, 3, 1), FactorSpec(2, 12, 3)),
+        m=1.595286767410206,
+        left=BLOWDOWN,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+def test_alpha_table_matches_adaptive_quadrature(name):
+    # the fixed-order table against scipy's adaptive quad at a tight
+    # tolerance, split at the integrand's sign change like the defect
+    spec = TABLE_SPECS[name]
+    p = solve(spec).params
+    s = np.linspace(0.0, p.s_star, 42)[1:-1]
+    x0 = np.sqrt(2.0 * p.E) - p.kappa0
+    want = []
+    for sk in s:
+        ends = [0.0] + ([x0] if 0.0 < x0 < sk else []) + [sk]
+        integral = sum(
+            quad(alpha_integrand, lo, hi, args=(p, spec), epsabs=0.0, epsrel=2e-14, limit=200)[0]
+            for lo, hi in zip(ends[:-1], ends[1:])
+        )
+        x = sk + p.kappa0
+        want.append(integral / (V(sk, p, spec) * x ** (spec.m - 1.0)))
+    assert np.allclose(alpha(s, p, spec), want, rtol=1e-12, atol=0.0)
 
 
 def test_alpha_for_non_integer_m():

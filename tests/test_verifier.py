@@ -23,6 +23,7 @@ from qebundle import (
     solve,
     verify,
 )
+from qebundle import solver
 from qebundle.closedform import beta, beta_prime, params_from_kappa0
 from qebundle.solver import boundary_defect
 
@@ -234,3 +235,19 @@ def test_non_root_profile_fails_certification(ref_spec):
 
 def test_certified_is_conjunction_of_checks(ref_report):
     assert ref_report.certified == all(c["passed"] for c in ref_report.checks.values())
+
+
+def test_corrupted_alpha_table_fails_the_quad_spot_check(ref_profile, ref_spec, monkeypatch):
+    # alpha' and alpha'' come from the ODE, not from the table, so the
+    # residual checks alone cannot see a table that is slightly off; the
+    # adaptive-quadrature spot check must
+    build = solver._alpha_table
+
+    def corrupted(params, spec):
+        edges, cum = build(params, spec)
+        return edges, cum * (1.0 + 1e-6)
+
+    monkeypatch.setattr(solver, "_alpha_table", corrupted)
+    report = verify(ref_profile, ref_spec, grid_size=65)
+    assert not report.checks["alpha_quad_spot"]["passed"]
+    assert not report.certified
