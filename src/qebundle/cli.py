@@ -119,9 +119,13 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, profile, config = io.solution_from_dict(io.load_json(args.solution))
-    report = vf.verify(
-        profile, spec, grid_size=args.grid, delta_frac=args.delta, config=config
-    )
+    try:
+        report = vf.verify(
+            profile, spec, grid_size=args.grid, delta_frac=args.delta, config=config
+        )
+    except PositivityError as err:
+        print(f"certification FAILED: {err}", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     doc = io.report_to_dict(report)
     if args.output:
         io.dump_json(doc, args.output)

@@ -2,7 +2,8 @@
 
 All serialization is deterministic (fixed key order, no timestamps)
 and floats round-trip exactly: values are emitted with Python's repr,
-the shortest string that parses back to the identical double. The
+the shortest string that parses back to the identical double. Solution
+and report JSON keys are the dataclass fields in declaration order. The
 potential u is exported under an explicit convention key because the
 source construction never states the v <-> u dictionary; we assume the
 conventional v = e^(-u/m).
@@ -10,7 +11,9 @@ conventional v = e^(-u/m).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 
 import numpy as np
 
@@ -24,49 +27,53 @@ U_CONVENTION = "u = -m*log(v), assuming v = exp(-u/m) (not stated by the constru
 
 
 # ---------------------------------------------------------------------------
-# Solution JSON
+# Solution and report JSON
 # ---------------------------------------------------------------------------
 
 
-def config_to_dict(config: sv.SolverConfig) -> dict:
-    return {
-        "bracket": [config.bracket[0], config.bracket[1]],
-        "scan_points": config.scan_points,
-        "root_tol": config.root_tol,
-        "quad_rel_tol": config.quad_rel_tol,
-        "max_subdivisions": config.max_subdivisions,
-    }
+def _to_json(value):
+    """value as JSON data: a dataclass becomes an object in field order,
+    tuples and arrays become lists, anything else is returned as is."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
 
 
-def config_from_dict(doc: dict) -> sv.SolverConfig:
-    return sv.SolverConfig(
-        bracket=tuple(doc["bracket"]),
-        scan_points=doc["scan_points"],
-        root_tol=doc["root_tol"],
-        quad_rel_tol=doc["quad_rel_tol"],
-        max_subdivisions=doc["max_subdivisions"],
-    )
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def _from_json(cls, doc: dict):
+    """Build dataclass cls from the entries of doc that its fields name.
+
+    Fields declared tuple or np.ndarray are rebuilt from JSON lists;
+    other keys in doc are ignored, and a missing one raises KeyError.
+    """
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        tp, value = types[f.name], doc[f.name]
+        if dataclasses.is_dataclass(tp):
+            value = _from_json(tp, value)
+        elif tp is tuple:
+            value = _tuples(value)
+        elif tp is np.ndarray:
+            value = np.array(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def solution_to_dict(
     profile: sv.SolvedProfile, spec: BundleSpec, config: sv.SolverConfig
 ) -> dict:
-    p = profile.params
     return {
         "spec": spec_to_dict(spec),
-        "config": config_to_dict(config),
-        "params": {
-            "kappa0": p.kappa0,
-            "kappa1": p.kappa1,
-            "E": p.E,
-            "mu": p.mu,
-            "s_star": p.s_star,
-            "A": list(p.A),
-        },
-        "defect_at_root": profile.defect_at_root,
-        "bracket_used": list(profile.bracket_used),
-        "all_sign_changes": [list(iv) for iv in profile.all_sign_changes],
-        "roots": list(profile.roots),
+        "config": _to_json(config),
+        **_to_json(profile),
         "convention": {"u": U_CONVENTION},
     }
 
@@ -74,65 +81,16 @@ def solution_to_dict(
 def solution_from_dict(doc: dict):
     """Rebuild (spec, SolvedProfile, SolverConfig) from solution JSON."""
     spec = spec_from_dict(doc["spec"])
-    config = config_from_dict(doc["config"])
-    pd = doc["params"]
-    params = cf.SolutionParams(
-        kappa0=pd["kappa0"],
-        kappa1=pd["kappa1"],
-        E=pd["E"],
-        mu=pd["mu"],
-        s_star=pd["s_star"],
-        A=tuple(pd["A"]),
-    )
-    profile = sv.SolvedProfile(
-        params=params,
-        defect_at_root=doc["defect_at_root"],
-        bracket_used=tuple(doc["bracket_used"]),
-        all_sign_changes=tuple(tuple(iv) for iv in doc["all_sign_changes"]),
-        roots=tuple(doc["roots"]),
-    )
-    return spec, profile, config
-
-
-# ---------------------------------------------------------------------------
-# Report JSON
-# ---------------------------------------------------------------------------
+    config = _from_json(sv.SolverConfig, doc["config"])
+    return spec, _from_json(sv.SolvedProfile, doc), config
 
 
 def report_to_dict(report: ResidualReport) -> dict:
-    return {
-        "grid": report.grid.tolist(),
-        "res_25": report.res_25.tolist(),
-        "res_26": report.res_26.tolist(),
-        "res_27": report.res_27.tolist(),
-        "mu_samples": report.mu_samples.tolist(),
-        "mu_dev": report.mu_dev,
-        "ansatz_res": report.ansatz_res.tolist(),
-        "boundary": dict(report.boundary),
-        "positivity_ok": report.positivity_ok,
-        "positivity_violation": report.positivity_violation,
-        "fd_check": report.fd_check,
-        "checks": {k: dict(v) for k, v in report.checks.items()},
-        "certified": report.certified,
-    }
+    return _to_json(report)
 
 
 def report_from_dict(doc: dict) -> ResidualReport:
-    return ResidualReport(
-        grid=np.array(doc["grid"]),
-        res_25=np.array(doc["res_25"]),
-        res_26=np.array(doc["res_26"]),
-        res_27=np.array(doc["res_27"]),
-        mu_samples=np.array(doc["mu_samples"]),
-        mu_dev=doc["mu_dev"],
-        ansatz_res=np.array(doc["ansatz_res"]),
-        boundary=dict(doc["boundary"]),
-        positivity_ok=doc["positivity_ok"],
-        positivity_violation=doc["positivity_violation"],
-        fd_check=doc["fd_check"],
-        checks={k: dict(v) for k, v in doc["checks"].items()},
-        certified=doc["certified"],
-    )
+    return _from_json(ResidualReport, doc)
 
 
 def dump_json(doc: dict, path: str):

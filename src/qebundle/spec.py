@@ -244,9 +244,13 @@ def spec_from_dict(doc: dict) -> BundleSpec:
             )
         return _ENDPOINT_NAMES[name]
 
+    m = doc["m"]
+    if isinstance(m, bool) or not isinstance(m, (int, float, str)):
+        raise ValueError(f"spec: 'm' must be a number, got {m!r}")
+
     return BundleSpec(
         factors=tuple(factors),
-        m=float(doc["m"]),
+        m=float(m),
         left=endpoint("left"),
         right=endpoint("right"),
     )

@@ -82,6 +82,61 @@ def test_report_round_trip(ref_report, tmp_path):
     assert np.array_equal(rep2.res_25, ref_report.res_25)
 
 
+SOLUTION_KEYS = [
+    "spec",
+    "config",
+    "params",
+    "defect_at_root",
+    "bracket_used",
+    "all_sign_changes",
+    "roots",
+    "convention",
+]
+CONFIG_KEYS = ["bracket", "scan_points", "root_tol", "quad_rel_tol", "max_subdivisions"]
+PARAMS_KEYS = ["kappa0", "kappa1", "E", "mu", "s_star", "A"]
+REPORT_KEYS = [
+    "grid",
+    "res_25",
+    "res_26",
+    "res_27",
+    "mu_samples",
+    "mu_dev",
+    "ansatz_res",
+    "boundary",
+    "positivity_ok",
+    "positivity_violation",
+    "fd_check",
+    "checks",
+    "certified",
+]
+
+
+@pytest.fixture()
+def report_file(tmp_path, solution_file):
+    out = tmp_path / "report.json"
+    assert main(["verify", solution_file, "--grid", "64", "-o", str(out)]) == 0
+    return out
+
+
+def test_solution_and_report_key_order(solution_file, report_file):
+    # The keys follow the dataclass fields, so reordering a field
+    # reorders the file; these lists pin the format.
+    doc = load_json(solution_file)
+    assert list(doc) == SOLUTION_KEYS
+    assert list(doc["config"]) == CONFIG_KEYS
+    assert list(doc["params"]) == PARAMS_KEYS
+    assert list(load_json(report_file)) == REPORT_KEYS
+
+
+def test_cli_files_reserialize_byte_for_byte(solution_file, report_file, tmp_path):
+    spec, profile, config = solution_from_dict(load_json(solution_file))
+    again = tmp_path / "again.json"
+    dump_json(solution_to_dict(profile, spec, config), str(again))
+    assert again.read_bytes() == Path(solution_file).read_bytes()
+    dump_json(report_to_dict(report_from_dict(load_json(report_file))), str(again))
+    assert again.read_bytes() == report_file.read_bytes()
+
+
 def test_csv_header_shape():
     assert csv_header(1) == "s,alpha,alpha_prime,beta_1,phi,V,t,f,g_1,v,u"
     assert (
@@ -143,6 +198,13 @@ def test_cli_validate_malformed_document(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(REF_DOC, typo=1)))
     assert main(["validate", str(path)]) == 2
+
+
+def test_cli_validate_null_m(tmp_path, capsys):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(dict(REF_DOC, m=None)))
+    assert main(["validate", str(path)]) == 2
+    assert "'m' must be a number" in capsys.readouterr().err
 
 
 def test_cli_missing_file_is_internal_error(tmp_path):
@@ -222,6 +284,15 @@ def test_cli_verify_tampered_solution_fails(solution_file, tmp_path, capsys):
     dump_json(doc, str(tampered))
     assert main(["verify", str(tampered), "--grid", "64"]) == 4
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_cli_verify_nonpositive_beta_is_not_certified(solution_file, tmp_path, capsys):
+    doc = load_json(solution_file)
+    doc["params"]["A"] = [1e-4]
+    bad = tmp_path / "bad_beta.json"
+    dump_json(doc, str(bad))
+    assert main(["verify", str(bad), "--grid", "64"]) == 4
+    assert "certification FAILED: beta_1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -189,3 +189,15 @@ def test_empty_factor_list_rejected():
 def test_non_object_document_rejected():
     with pytest.raises(ValueError):
         spec_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "m", [None, [2], {"value": 2}, True, False], ids=["null", "list", "object", "true", "false"]
+)
+def test_non_numeric_m_rejected(m):
+    with pytest.raises(ValueError, match="'m' must be a number"):
+        spec_from_dict(dict(REF_DOC, m=m))
+
+
+def test_numeric_string_m_parses():
+    assert spec_from_dict(dict(REF_DOC, m="2.5")).m == 2.5
