@@ -23,7 +23,7 @@ from . import closedform as cf
 from . import output as io
 from . import solver as sv
 from . import verifier as vf
-from .errors import NoSignChangeError, PositivityError, QEError
+from .errors import NoSignChangeError, NonPositiveAlphaError, PositivityError, QEError
 from .geometry import reconstruct_t
 from .spec import BundleSpec, EndpointType, FactorSpec, spec_from_dict, validate_spec
 
@@ -49,8 +49,6 @@ def _config_from_args(args) -> sv.SolverConfig:
         kwargs["root_tol"] = args.tol
     if getattr(args, "scan_points", None) is not None:
         kwargs["scan_points"] = args.scan_points
-    if getattr(args, "quad_tol", None) is not None:
-        kwargs["quad_rel_tol"] = args.quad_tol
     return sv.SolverConfig(**kwargs)
 
 
@@ -118,11 +116,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, profile, config = io.solution_from_dict(io.load_json(args.solution))
+    spec, profile, _ = io.solution_from_dict(io.load_json(args.solution))
     try:
-        report = vf.verify(
-            profile, spec, grid_size=args.grid, delta_frac=args.delta, config=config
-        )
+        report = vf.verify(profile, spec, grid_size=args.grid, delta_frac=args.delta)
     except PositivityError as err:
         print(f"certification FAILED: {err}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
@@ -140,13 +136,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    spec, profile, config = io.solution_from_dict(io.load_json(args.solution))
+    spec, profile, _ = io.solution_from_dict(io.load_json(args.solution))
     params = profile.params
-    mp = reconstruct_t(params, spec, grid_size=args.grid)
+    try:
+        mp = reconstruct_t(params, spec, grid_size=args.grid)
+        report = vf.verify(profile, spec, grid_size=129) if args.svg else None
+    except (PositivityError, NonPositiveAlphaError) as err:
+        print(f"profile FAILED: {err}", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     if args.csv:
         io.write_csv(args.csv, params, spec, mp)
     if args.svg:
-        report = vf.verify(profile, spec, grid_size=129, config=config)
         io.write_svg(args.svg, params, spec, report, mp)
     print(f"t-length l = {mp.total_length_l!r}", file=sys.stderr)
     return EXIT_OK
@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", default=None, help="kappa0 bracket lo:hi")
     p.add_argument("--tol", type=float, default=None, help="root tolerance on kappa0")
     p.add_argument("--scan-points", type=int, default=None, help="defect scan resolution")
-    p.add_argument("--quad-tol", type=float, default=None, help="quadrature relative tolerance")
     p.add_argument(
         "--root-signs",
         default=None,

@@ -22,9 +22,10 @@ condition alpha(s_*) = 0 becomes a scalar root-find in kappa0. The
 defect is taken as the bare integral D(kappa0) = int_0^{s_*} ... dr
 (no prefactor): it has the same zeros wherever the prefactor is finite
 and positive, and stays well-defined at a right blowdown end where
-V(s_*) = 0. The defect keeps adaptive Gauss-Kronrod quadrature, so the
-root, and the verifier's check of the leftover defect, do not depend on
-the table.
+V(s_*) = 0. The defect is the last entry of the same table, so the
+scan, the root polish and alpha all use one integration rule. Adaptive
+Gauss-Kronrod quadrature (_piece_integrals) is kept only as the
+verifier's independent reference for the leftover defect and for alpha.
 
 The solver scans a log-uniform kappa0 grid, records every sign change
 of D, polishes each to a root, and returns the smallest root as the
@@ -48,37 +49,28 @@ from .spec import BundleSpec, EndpointType, validate_spec
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs for quadrature and root-finding.
+    """Numerical knobs for the defect scan and root polish.
 
-    bracket : (lo, hi) kappa0 search interval, 0 < lo < hi.
+    bracket : (lo, hi) kappa0 search interval, 0 < lo < hi < inf.
     scan_points : log-uniform samples of the defect across the bracket.
     root_tol : absolute tolerance on kappa0 in the bisection polish.
-    quad_rel_tol : relative tolerance handed to adaptive quadrature
-        (absolute tolerance is 0 so small integrals keep relative
-        accuracy near the collapsing ends).
-    max_subdivisions : adaptive quadrature subdivision limit.
 
-    The two quadrature knobs govern only the defect integral and the
-    verifier's adaptive spot check of alpha; alpha itself comes from a
-    fixed-order table (see alpha).
+    The defect and alpha both come from the fixed-order table (see
+    alpha), which has no tolerance to set.
     """
 
     bracket: tuple = (1e-3, 1e3)
     scan_points: int = 64
     root_tol: float = 1e-12
-    quad_rel_tol: float = 1e-10
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         lo, hi = self.bracket
-        if not (0.0 < lo < hi):
-            raise ValueError(f"bracket must satisfy 0 < lo < hi, got {self.bracket}")
+        if not (0.0 < lo < hi < math.inf):
+            raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {self.bracket}")
         if self.scan_points < 2:
             raise ValueError("scan_points must be at least 2")
-        if min(self.root_tol, self.quad_rel_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        if self.root_tol <= 0.0:
+            raise ValueError("root_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -122,9 +114,15 @@ def _integral_break(params, spec, s):
     return [x0] if 0.0 < x0 < s else None
 
 
-def _piece_integrals(params, spec, config, s):
-    """Integrals of the alpha integrand over [0, s], split at its sign change.
+# Adaptive quadrature settings of the verifier's reference integrals.
+QUAD_REL_TOL = 1e-10
+QUAD_LIMIT = 200
 
+
+def _piece_integrals(params, spec, s):
+    """Adaptive-quadrature integrals of the alpha integrand over [0, s], split at its sign change.
+
+    The verifier's reference, independent of the Gauss-Legendre table.
     Each piece is single-signed, so the relative quadrature tolerance is
     meaningful even when their sum (the defect near a root) cancels to
     ~0, and the sum of their magnitudes is int_0^s |integrand| exactly.
@@ -137,8 +135,8 @@ def _piece_integrals(params, spec, config, s):
             lo,
             hi,
             epsabs=0.0,
-            epsrel=config.quad_rel_tol,
-            limit=config.max_subdivisions,
+            epsrel=QUAD_REL_TOL,
+            limit=QUAD_LIMIT,
         )[0]
         for lo, hi in zip(ends[:-1], ends[1:])
     ]
@@ -200,11 +198,12 @@ def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
         return integral / (v * (r + params.kappa0) ** (spec.m - 1.0))
 
     s_arr = np.asarray(s, dtype=float)
-    v = np.asarray(cf.V(s_arr, params, spec))
     out = np.zeros(s_arr.shape)
-    inner = (s_arr != 0.0) & (v != 0.0)
-    out[inner] = interior(s_arr[inner], v[inner])
-    end = (s_arr != 0.0) & (v == 0.0)
+    # Keyed on the endpoint type, not on V(s_*) == 0: beta_r(s_*) can
+    # round to +-1e-15, and dividing by that V would blow alpha up.
+    end = (s_arr == params.s_star) & (spec.right is EndpointType.BLOWDOWN)
+    inner = (s_arr != 0.0) & ~end
+    out[inner] = interior(s_arr[inner], cf.V(s_arr[inner], params, spec))
     if np.any(end):
         # Quadrature noise in the numerator is divided by V ~ tau^{n_r}
         # approaching a vanishing-V endpoint, so the extrapolation base
@@ -281,13 +280,13 @@ def boundary_slopes(params, spec):
     return float(left), float(right)
 
 
-def boundary_defect(
-    kappa0: float, spec: BundleSpec, config: SolverConfig = None, root_signs=None
-):
+def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
     """D(kappa0) = int_0^{s_*} V (r+kappa0)^(m-2) (E + eps (r+kappa0)^2/2) dr.
 
     The zero set of D matches that of alpha(s_*) wherever the dropped
-    prefactor is finite and positive.
+    prefactor is finite and positive. D is the last entry of the alpha
+    table (see _alpha_table), so the root is found on the same rule that
+    alpha is evaluated with.
 
     Raises
     ------
@@ -295,7 +294,6 @@ def boundary_defect(
         If some beta_i <= 0 on (0, s_*) for this kappa0 (the scan in
         ``solve`` records such points as NaN rather than aborting).
     """
-    config = config or SolverConfig()
     params = cf.params_from_kappa0(kappa0, spec, root_signs=root_signs)
     ok, violation = cf.positivity_check(params, spec)
     if not ok:
@@ -305,13 +303,7 @@ def boundary_defect(
             s=violation["s"],
             factor=violation["factor"],
         )
-    return sum(_piece_integrals(params, spec, config, params.s_star))
-
-
-def defect_scale(params, spec, config: SolverConfig = None):
-    """int_0^{s_*} |integrand| dr, the natural magnitude scale for D."""
-    config = config or SolverConfig()
-    return sum(abs(v) for v in _piece_integrals(params, spec, config, params.s_star))
+    return float(_alpha_table(params, spec)[1][-1])
 
 
 def solve(
@@ -348,7 +340,7 @@ def solve(
     defects = np.full(grid.shape, np.nan)
     for k, kappa0 in enumerate(grid):
         try:
-            defects[k] = boundary_defect(float(kappa0), spec, config, root_signs)
+            defects[k] = boundary_defect(float(kappa0), spec, root_signs)
         except PositivityError:
             pass  # NaN row in the scan table
 
@@ -381,7 +373,7 @@ def solve(
             roots.append(a)
             continue
         root = brentq(
-            lambda k0: boundary_defect(k0, spec, config, root_signs),
+            lambda k0: boundary_defect(k0, spec, root_signs),
             a,
             b,
             xtol=config.root_tol,
@@ -392,7 +384,7 @@ def solve(
     primary = min(roots)
     params = cf.params_from_kappa0(primary, spec, kappa1=kappa1, root_signs=root_signs)
     # boundary_defect has checked the betas here; alpha is checked below.
-    defect_at_root = boundary_defect(primary, spec, config, root_signs)
+    defect_at_root = boundary_defect(primary, spec, root_signs)
     s_grid = np.linspace(0.0, params.s_star, 66)[1:-1]
     a_grid = alpha(s_grid, params, spec)
     if np.any(a_grid <= 0.0):

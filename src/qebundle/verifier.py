@@ -21,8 +21,11 @@ ansatz per factor, both endpoint quadratics, the boundary conditions
 slope -2 at s_* is emergent, never imposed), positivity, the leftover
 defect, and cross-checks every analytic derivative against central
 differences. alpha' and alpha'' come from the ODE, so the residuals
-cannot see an inaccurate alpha table; the table is therefore also
-compared with adaptive quadrature at five interior points.
+cannot see an inaccurate alpha table. The solver's root and alpha both
+come from that table, so the leftover defect is recomputed here by
+adaptive Gauss-Kronrod quadrature (solver._piece_integrals, at fixed
+settings, whatever config the solution file carries), and the table is
+compared with the same quadrature at five interior points.
 
 A profile is *certified* when every named check passes its tolerance.
 Tolerances are tiered by the weakest numerical ingredient of each
@@ -196,7 +199,6 @@ def verify(
     spec: BundleSpec,
     grid_size: int = 201,
     delta_frac: float = 1e-3,
-    config: sv.SolverConfig = None,
 ) -> ResidualReport:
     """Certify a solved profile against every check it must satisfy.
 
@@ -214,7 +216,6 @@ def verify(
         raise ValueError("grid_size must be at least 16")
     if not (0.0 < delta_frac < 0.1):
         raise ValueError("delta_frac must lie in (0, 0.1)")
-    config = config or sv.SolverConfig()
     params = profile.params
     s_star = params.s_star
     delta = delta_frac * s_star
@@ -300,14 +301,14 @@ def verify(
         )
     )
 
-    # Leftover defect, against its natural scale.
-    pieces = sv._piece_integrals(params, spec, config, s_star)
+    # Leftover defect by adaptive quadrature, against its natural scale.
+    pieces = sv._piece_integrals(params, spec, s_star)
     defect, dscale = sum(pieces), sum(abs(v) for v in pieces)
 
     # The table alpha against adaptive quadrature at a few interior points.
     spot = s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     spot_quad = [
-        sum(sv._piece_integrals(params, spec, config, s))
+        sum(sv._piece_integrals(params, spec, s))
         / (cf.V(s, params, spec) * (s + params.kappa0) ** (spec.m - 1.0))
         for s in spot
     ]
@@ -331,7 +332,7 @@ def verify(
     check("slope_at_0_minus_2", boundary["slope_at_0_minus_2"], TOL_SLOPE)
     check("slope_at_sstar_plus_2", boundary["slope_at_sstar_plus_2"], TOL_SLOPE)
     check("fd_check", fd_worst, TOL_FD)
-    check("defect_at_root", defect, 10.0 * config.quad_rel_tol * max(1.0, dscale))
+    check("defect_at_root", defect, 10.0 * sv.QUAD_REL_TOL * max(1.0, dscale))
     check("alpha_quad_spot", spot_worst, TOL_RESIDUAL * max(1.0, alpha_max))
     for name in (
         "beta_left_at_0",

@@ -92,7 +92,7 @@ SOLUTION_KEYS = [
     "roots",
     "convention",
 ]
-CONFIG_KEYS = ["bracket", "scan_points", "root_tol", "quad_rel_tol", "max_subdivisions"]
+CONFIG_KEYS = ["bracket", "scan_points", "root_tol"]
 PARAMS_KEYS = ["kappa0", "kappa1", "E", "mu", "s_star", "A"]
 REPORT_KEYS = [
     "grid",
@@ -126,6 +126,20 @@ def test_solution_and_report_key_order(solution_file, report_file):
     assert list(doc["config"]) == CONFIG_KEYS
     assert list(doc["params"]) == PARAMS_KEYS
     assert list(load_json(report_file)) == REPORT_KEYS
+
+
+def test_verify_ignores_quadrature_settings_in_the_file(solution_file, report_file, tmp_path):
+    # solution files written before the quadrature knobs were removed
+    # carry them in "config"; they load, and cannot widen the defect check
+    doc = load_json(solution_file)
+    doc["config"].update(quad_rel_tol=1.0, max_subdivisions=1)
+    old = tmp_path / "old_format.json"
+    dump_json(doc, str(old))
+    out = tmp_path / "old_report.json"
+    assert main(["verify", str(old), "--grid", "64", "-o", str(out)]) == 0
+    want = load_json(report_file)["checks"]["defect_at_root"]
+    assert load_json(out)["checks"]["defect_at_root"] == want
+    assert want["tol"] < 1e-5
 
 
 def test_cli_files_reserialize_byte_for_byte(solution_file, report_file, tmp_path):
@@ -262,6 +276,13 @@ def test_cli_solve_bracket_flag(tmp_path, spec_file):
     assert doc["bracket_used"] == [5.0, 20.0]
 
 
+def test_cli_solve_infinite_bracket_is_rejected(tmp_path, spec_file, capsys):
+    out = tmp_path / "inf.json"
+    assert main(["solve", spec_file, "--bracket", "1e-3:inf", "-o", str(out)]) == 2
+    assert "bracket" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI: verify
 # ---------------------------------------------------------------------------
@@ -320,6 +341,18 @@ def test_cli_profile_outputs(solution_file, tmp_path):
     assert len(rows) == 65
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+def test_cli_profile_nonpositive_beta_is_not_certified(solution_file, tmp_path, capsys):
+    doc = load_json(solution_file)
+    doc["params"]["A"] = [1e-4]
+    bad = tmp_path / "bad_beta.json"
+    dump_json(doc, str(bad))
+    csv_path, svg_path = tmp_path / "p.csv", tmp_path / "p.svg"
+    code = main(["profile", str(bad), "--csv", str(csv_path), "--svg", str(svg_path)])
+    assert code == 4
+    assert "profile FAILED" in capsys.readouterr().err
+    assert not csv_path.exists() and not svg_path.exists()
 
 
 def test_cli_profile_is_deterministic(solution_file, tmp_path):

@@ -1,5 +1,7 @@
 """Quadrature layer and defect root-find, against independent numerics."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,11 +18,14 @@ from qebundle import (
     alpha,
     alpha_derivatives,
     alpha_integrand,
+    beta,
     boundary_defect,
     boundary_slopes,
+    positivity_check,
     solve,
 )
 from qebundle.closedform import params_from_kappa0
+from qebundle.verifier import chebyshev_grid
 
 COLLAPSE = EndpointType.SMOOTH_COLLAPSE
 BLOWDOWN = EndpointType.BLOWDOWN
@@ -36,8 +41,6 @@ def test_config_defaults():
     assert cfg.bracket == (1e-3, 1e3)
     assert cfg.scan_points == 64
     assert cfg.root_tol == 1e-12
-    assert cfg.quad_rel_tol == 1e-10
-    assert cfg.max_subdivisions == 200
 
 
 @pytest.mark.parametrize(
@@ -47,8 +50,7 @@ def test_config_defaults():
         {"bracket": (-1.0, 10.0)},
         {"scan_points": 1},
         {"root_tol": 0.0},
-        {"quad_rel_tol": -1e-10},
-        {"max_subdivisions": 0},
+        {"bracket": (1e-3, math.inf)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -160,9 +162,8 @@ def test_solve_result_structure(ref_profile):
 
 
 def test_solve_defect_residual_is_small(ref_profile, ref_spec):
-    import qebundle.solver as sv
-
-    scale = sv.defect_scale(ref_profile.params, ref_spec)
+    p = ref_profile.params
+    scale = quad(lambda r: abs(alpha_integrand(r, p, ref_spec)), 0.0, p.s_star, limit=200)[0]
     assert abs(ref_profile.defect_at_root) < 10.0 * 1e-10 * max(1.0, scale)
 
 
@@ -313,6 +314,16 @@ TABLE_SPECS = {
 }
 
 
+def _quad_split(p, spec, s, epsrel):
+    """int_0^s of the alpha integrand by scipy's adaptive quad, split at its sign change."""
+    x0 = np.sqrt(2.0 * p.E) - p.kappa0
+    ends = [0.0] + ([x0] if 0.0 < x0 < s else []) + [s]
+    return sum(
+        quad(alpha_integrand, lo, hi, args=(p, spec), epsabs=0.0, epsrel=epsrel, limit=200)[0]
+        for lo, hi in zip(ends[:-1], ends[1:])
+    )
+
+
 @pytest.mark.parametrize("name", sorted(TABLE_SPECS))
 def test_alpha_table_matches_adaptive_quadrature(name):
     # the fixed-order table against scipy's adaptive quad at a tight
@@ -320,17 +331,43 @@ def test_alpha_table_matches_adaptive_quadrature(name):
     spec = TABLE_SPECS[name]
     p = solve(spec).params
     s = np.linspace(0.0, p.s_star, 42)[1:-1]
-    x0 = np.sqrt(2.0 * p.E) - p.kappa0
     want = []
     for sk in s:
-        ends = [0.0] + ([x0] if 0.0 < x0 < sk else []) + [sk]
-        integral = sum(
-            quad(alpha_integrand, lo, hi, args=(p, spec), epsabs=0.0, epsrel=2e-14, limit=200)[0]
-            for lo, hi in zip(ends[:-1], ends[1:])
-        )
         x = sk + p.kappa0
-        want.append(integral / (V(sk, p, spec) * x ** (spec.m - 1.0)))
+        want.append(_quad_split(p, spec, sk, 2e-14) / (V(sk, p, spec) * x ** (spec.m - 1.0)))
     assert np.allclose(alpha(s, p, spec), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["ref", "blowdown", "three-factor"])
+def test_scan_sign_changes_match_adaptive_quadrature(name):
+    # the table-based scan against a 64-point scan of the defect by
+    # scipy's adaptive quad, split at the integrand's sign change
+    spec = TABLE_SPECS[name]
+    grid = np.geomspace(1e-3, 1e3, 64)
+    defects = np.full(grid.shape, np.nan)
+    for k, kappa0 in enumerate(grid):
+        p = params_from_kappa0(float(kappa0), spec)
+        if positivity_check(p, spec)[0]:
+            defects[k] = _quad_split(p, spec, p.s_star, 1e-12)
+    want = tuple(
+        (float(grid[k]), float(grid[k + 1]))
+        for k in range(len(grid) - 1)
+        if defects[k] * defects[k + 1] < 0.0
+    )
+    assert want
+    assert solve(spec).all_sign_changes == want
+
+
+def test_alpha_at_right_blowdown_end_when_beta_rounds_off_zero():
+    # beta_r(s_*) should vanish but rounds to -3.6e-15 here, so V(s_*)
+    # is tiny but nonzero; alpha(s_*) must still be the one-sided limit
+    spec = BundleSpec(
+        factors=(FactorSpec(1, 4, 1), FactorSpec(2, 3, 1)), m=3.3, right=BLOWDOWN
+    )
+    p = params_from_kappa0(40.57251817827792, spec)
+    assert beta(1, p.s_star, p, spec) != 0.0
+    a_max = np.max(np.abs(alpha(chebyshev_grid(0.0, p.s_star, 201), p, spec)))
+    assert abs(alpha(p.s_star, p, spec)) <= 1e-3 * a_max
 
 
 def test_alpha_for_non_integer_m():
