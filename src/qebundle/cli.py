@@ -140,14 +140,13 @@ def cmd_profile(args) -> int:
     params = profile.params
     try:
         mp = reconstruct_t(params, spec, grid_size=args.grid)
-        report = vf.verify(profile, spec, grid_size=129) if args.svg else None
     except (PositivityError, NonPositiveAlphaError) as err:
         print(f"profile FAILED: {err}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     if args.csv:
         io.write_csv(args.csv, params, spec, mp)
     if args.svg:
-        io.write_svg(args.svg, params, spec, report, mp)
+        io.write_svg(args.svg, params, spec, mp)
     print(f"t-length l = {mp.total_length_l!r}", file=sys.stderr)
     return EXIT_OK
 

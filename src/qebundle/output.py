@@ -19,9 +19,9 @@ import numpy as np
 
 from . import closedform as cf
 from . import solver as sv
+from . import verifier as vf
 from .geometry import MetricProfile
 from .spec import BundleSpec, spec_from_dict, spec_to_dict
-from .verifier import ResidualReport
 
 U_CONVENTION = "u = -m*log(v), assuming v = exp(-u/m) (not stated by the construction)"
 
@@ -85,12 +85,12 @@ def solution_from_dict(doc: dict):
     return spec, _from_json(sv.SolvedProfile, doc), config
 
 
-def report_to_dict(report: ResidualReport) -> dict:
+def report_to_dict(report: vf.ResidualReport) -> dict:
     return _to_json(report)
 
 
-def report_from_dict(doc: dict) -> ResidualReport:
-    return _from_json(ResidualReport, doc)
+def report_from_dict(doc: dict) -> vf.ResidualReport:
+    return _from_json(vf.ResidualReport, doc)
 
 
 def dump_json(doc: dict, path: str):
@@ -142,11 +142,11 @@ def write_csv(
     spec: BundleSpec,
     mp: MetricProfile,
 ):
-    cols = profile_table(params, spec, mp)
+    rows = np.column_stack(profile_table(params, spec, mp)).tolist()
     with open(path, "w") as fh:
         fh.write(csv_header(spec.r) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_csv(path: str):
@@ -227,22 +227,25 @@ def write_svg(
     path: str,
     params: cf.SolutionParams,
     spec: BundleSpec,
-    report: ResidualReport,
     mp: MetricProfile,
 ):
     """Profile plot: alpha and beta_i over s, residual magnitudes over s."""
     top_series = [("alpha", mp.f**2)]
     for i in range(spec.r):
         top_series.append((f"beta_{i + 1}", cf.beta(i, mp.s, params, spec)))
+    # Residuals on 129 points of the verifier's grid (default margin).
+    delta = 1e-3 * params.s_star
+    grid = vf.chebyshev_grid(delta, params.s_star - delta, 129)
+    sample = vf.sample_at(grid, params, spec)
     res_series = [
-        ("|res_I|", np.abs(report.res_25)),
-        ("|res_II|", np.abs(report.res_26)),
+        ("|res_I|", np.abs(vf.residual_25(sample, spec))),
+        ("|res_II|", np.abs(vf.residual_26(sample, spec))),
     ]
     for i in range(spec.r):
-        res_series.append((f"|res_III_{i + 1}|", np.abs(report.res_27[:, i])))
+        res_series.append((f"|res_III_{i + 1}|", np.abs(vf.residual_27(sample, i, spec))))
     panels = [
         ("profile: alpha, beta_i vs s", mp.s, top_series),
-        ("residual magnitudes vs s", report.grid, res_series),
+        ("residual magnitudes vs s", grid, res_series),
     ]
     with open(path, "w") as fh:
         fh.write(render_svg(panels))

@@ -14,8 +14,10 @@ whose integrating factor V (s+kappa0)^(m-1) gives
 
 The integral is served from one composite Gauss-Legendre table per
 call: 16-point panels on each single-signed side of the integrand's
-sign change, their cumulative sums, and one partial panel from the
-nearest table edge to each query point.
+sign change, their cumulative sums from 0 and from s_*, and one
+partial panel from the nearest table edge to each query point. Under
+a right blowdown alpha takes the integral from the s_* end past the
+sign change (see alpha).
 
 alpha(0) = 0 holds by construction; the one remaining boundary
 condition alpha(s_*) = 0 becomes a scalar root-find in kappa0. The
@@ -119,16 +121,16 @@ QUAD_REL_TOL = 1e-10
 QUAD_LIMIT = 200
 
 
-def _piece_integrals(params, spec, s):
-    """Adaptive-quadrature integrals of the alpha integrand over [0, s], split at its sign change.
+def _piece_integrals(params, spec, s, lo=0.0):
+    """Adaptive-quadrature integrals of the alpha integrand over [lo, s], split at its sign change.
 
     The verifier's reference, independent of the Gauss-Legendre table.
     Each piece is single-signed, so the relative quadrature tolerance is
     meaningful even when their sum (the defect near a root) cancels to
-    ~0, and the sum of their magnitudes is int_0^s |integrand| exactly.
-    Returned in order from 0 to s.
+    ~0, and the sum of their magnitudes is int_lo^s |integrand| exactly.
+    Returned in order from lo to s.
     """
-    ends = [0.0] + (_integral_break(params, spec, s) or []) + [s]
+    ends = [lo] + [x0 for x0 in _integral_break(params, spec, s) or [] if x0 > lo] + [s]
     return [
         quad(
             lambda r: alpha_integrand(r, params, spec),
@@ -164,7 +166,7 @@ def _gauss_legendre(lo, hi, params, spec):
 
 
 def _alpha_table(params, spec):
-    """Panel edges on [0, s_*] and the integral of the alpha integrand from 0 to each."""
+    """Panel edges on [0, s_*], and the alpha integrand's integral from 0 to each and to s_*."""
     s_star = params.s_star
     brk = _integral_break(params, spec, s_star)
     if brk:
@@ -175,43 +177,40 @@ def _alpha_table(params, spec):
     else:
         edges = np.linspace(0.0, s_star, ALPHA_PANELS + 1)
     panels = _gauss_legendre(edges[:-1], edges[1:], params, spec)
-    return edges, np.concatenate([[0.0], np.cumsum(panels)])
+    cum, tail = np.zeros(edges.shape), np.zeros(edges.shape)
+    np.cumsum(panels, out=cum[1:])
+    np.cumsum(panels[::-1], out=tail[-2::-1])
+    return edges, cum, tail
 
 
 def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
     """alpha(s) from the integrating-factor formula, by a Gauss-Legendre table.
 
     Each call tabulates the integral at the panel edges of [0, s_*]
-    (see _alpha_table) and answers every point as the table value at
-    the nearest edge below it plus one 16-point panel from that edge.
-    alpha(0) = 0 is returned exactly without quadrature. At s = s_*
-    under a right blowdown V(s_*) = 0 makes the prefactor singular;
-    there the one-sided limit is returned (Richardson extrapolation
-    from s_* - delta*{1,2,4}), since alpha extends continuously.
-    Accepts scalar or array s.
+    (see _alpha_table) and answers every point from the table value at
+    the nearest edge plus one 16-point panel from that edge. Under a
+    right blowdown, past the integrand's sign change, the integral is
+    taken from the s_* end, alpha = -int_s^{s_*} ... dr / (V x^(m-1)),
+    so V ~ (s_* - s)^(n_r) never divides roundoff; this drops the
+    defect D, about 0 at a root and recomputed by the verifier.
+    alpha(0) = 0, and alpha(s_*) = 0 under a right blowdown, are
+    returned exactly without quadrature. Accepts scalar or array s.
     """
-    edges, cum = _alpha_table(params, spec)
-
-    def interior(r, v):
-        k = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
-        integral = cum[k] + _gauss_legendre(edges[k], r, params, spec)
-        return integral / (v * (r + params.kappa0) ** (spec.m - 1.0))
-
+    edges, cum, tail = _alpha_table(params, spec)
     s_arr = np.asarray(s, dtype=float)
     out = np.zeros(s_arr.shape)
-    # Keyed on the endpoint type, not on V(s_*) == 0: beta_r(s_*) can
-    # round to +-1e-15, and dividing by that V would blow alpha up.
-    end = (s_arr == params.s_star) & (spec.right is EndpointType.BLOWDOWN)
-    inner = (s_arr != 0.0) & ~end
-    out[inner] = interior(s_arr[inner], cf.V(s_arr[inner], params, spec))
-    if np.any(end):
-        # Quadrature noise in the numerator is divided by V ~ tau^{n_r}
-        # approaching a vanishing-V endpoint, so the extrapolation base
-        # step backs off further than the collapse-end value: 1e-4 s_*
-        # sits in the valley between that amplification and the
-        # O(delta^3) extrapolation truncation.
-        r = s_arr[end] - BLOWDOWN_DELTA_FRAC * params.s_star * np.array([[1.0], [2.0], [4.0]])
-        out[end] = richardson(*interior(r, cf.V(r, params, spec)))
+    right_blowdown = spec.right is EndpointType.BLOWDOWN
+    # At s_* under a right blowdown the tail formula reads 0/V(s_*) with
+    # V(s_*) = 0 up to roundoff in beta_r: keyed on the endpoint type.
+    inner = (s_arr != 0.0) & ~((s_arr == params.s_star) & right_blowdown)
+    r = s_arr[inner]
+    k = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
+    brk = _integral_break(params, spec, params.s_star)
+    past = r >= (brk[0] if right_blowdown and brk else np.inf)
+    lo, hi = np.where(past, r, edges[k]), np.where(past, edges[k + 1], r)
+    part = _gauss_legendre(lo, hi, params, spec)
+    integral = np.where(past, -(tail[k + 1] + part), cum[k] + part)
+    out[inner] = integral / (cf.V(r, params, spec) * (r + params.kappa0) ** (spec.m - 1.0))
     return float(out) if np.ndim(s) == 0 else out
 
 
@@ -248,10 +247,8 @@ def richardson(y1, y2, y3):
     return (8.0 * y1 - 6.0 * y2 + y3) / 3.0
 
 
-# Extrapolation base steps (as fractions of s_*): for the endpoint
-# slopes, and next to an endpoint where V vanishes (see alpha()).
+# Extrapolation base step for the endpoint slopes, as a fraction of s_*.
 SLOPE_DELTA_FRAC = 1e-6
-BLOWDOWN_DELTA_FRAC = 1e-4
 
 
 def boundary_slopes(params, spec):
@@ -261,21 +258,18 @@ def boundary_slopes(params, spec):
     and alpha(s_* - delta)/delta at delta*{1,2,4} with Richardson
     extrapolation, valid across both endpoint types (at a blowdown the
     (log V)' alpha term keeps a finite limit, so the ODE form of
-    alpha' is singular there while the quotient is not). At a right
-    blowdown the base step is widened to BLOWDOWN_DELTA_FRAC against
-    the 1/V noise amplification; the left end needs no such care since
-    its quadrature error is local and vanishes with the step.
+    alpha' is singular there while the quotient is not). One step
+    serves both ends: alpha takes each partial integral from the
+    nearer blown-down end, so its error vanishes with the step there.
     """
     steps = np.array([1.0, 2.0, 4.0])
     d = SLOPE_DELTA_FRAC * params.s_star
     left = richardson(*(alpha(steps * d, params, spec) / (steps * d)))
-    if spec.right is EndpointType.BLOWDOWN:
-        d = BLOWDOWN_DELTA_FRAC * params.s_star
     a_end = alpha(params.s_star - steps * d, params, spec)
     a_star = richardson(*a_end)
     # alpha(s_*-delta) ~ alpha(s_*) - alpha'(s_*) delta; remove the
     # extrapolated endpoint value so a nonzero defect does not bias the
-    # slope estimate.
+    # slope estimate at a collapse end.
     right = richardson(*(-(a_end - a_star) / (steps * d)))
     return float(left), float(right)
 

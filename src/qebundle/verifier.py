@@ -25,7 +25,11 @@ cannot see an inaccurate alpha table. The solver's root and alpha both
 come from that table, so the leftover defect is recomputed here by
 adaptive Gauss-Kronrod quadrature (solver._piece_integrals, at fixed
 settings, whatever config the solution file carries), and the table is
-compared with the same quadrature at five interior points.
+compared with the same quadrature at five interior points. Under a
+right blowdown alpha is anchored at s_* past the integrand's sign
+change, so alpha(s_*) = 0 there by construction: that end is checked
+instead by the leftover defect and by two more spot points, 0.95 s_*
+and 0.99 s_*, against minus the adaptive integral from s to s_*.
 
 A profile is *certified* when every named check passes its tolerance.
 Tolerances are tiered by the weakest numerical ingredient of each
@@ -245,8 +249,8 @@ def verify(
     )
     mu_dev = float(np.max(np.abs(mu_s - params.mu)) / max(1.0, abs(params.mu)))
 
-    # Boundary values and slopes. alpha(s_*) under a right blowdown is
-    # the extrapolated one-sided limit (V(s_*) = 0 there).
+    # Boundary values and slopes. alpha(s_*) under a right blowdown is 0
+    # by construction (see solver.alpha).
     alpha_at_0 = sv.alpha(0.0, params, spec)
     alpha_at_sstar = sv.alpha(s_star, params, spec)
     slope0, slope_end = sv.boundary_slopes(params, spec)
@@ -305,12 +309,18 @@ def verify(
     pieces = sv._piece_integrals(params, spec, s_star)
     defect, dscale = sum(pieces), sum(abs(v) for v in pieces)
 
-    # The table alpha against adaptive quadrature at a few interior points.
+    # The table alpha against adaptive quadrature at a few interior
+    # points: the integral from 0, and under a right blowdown also minus
+    # the integral to s_* next to that end, where alpha anchors there.
     spot = s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    spot_int = [sum(sv._piece_integrals(params, spec, s)) for s in spot]
+    if spec.right is EndpointType.BLOWDOWN:
+        tail_spot = s_star * np.array([0.95, 0.99])
+        spot = np.concatenate([spot, tail_spot])
+        spot_int += [-sum(sv._piece_integrals(params, spec, s_star, lo=s)) for s in tail_spot]
     spot_quad = [
-        sum(sv._piece_integrals(params, spec, s))
-        / (cf.V(s, params, spec) * (s + params.kappa0) ** (spec.m - 1.0))
-        for s in spot
+        v / (cf.V(s, params, spec) * (s + params.kappa0) ** (spec.m - 1.0))
+        for s, v in zip(spot, spot_int)
     ]
     spot_worst = float(np.max(np.abs(sv.alpha(spot, params, spec) - spot_quad)))
 

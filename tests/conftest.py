@@ -1,4 +1,4 @@
-"""Shared fixtures: the two study instances, solved and verified once."""
+"""Shared fixtures: the study instances, solved and verified once."""
 
 import pytest
 
@@ -51,3 +51,39 @@ def blow_profile(blow_spec):
 @pytest.fixture(scope="session")
 def blow_report(blow_spec, blow_profile):
     return verify(blow_profile, blow_spec, grid_size=201)
+
+
+@pytest.fixture(scope="session")
+def right_spec():
+    """Factors (1, 4, 1) + (2, 3, 1), m = 3.3, left collapse, right blowdown."""
+    return BundleSpec(
+        factors=(FactorSpec(n=1, p=4, q=1), FactorSpec(n=2, p=3, q=1)),
+        m=3.3,
+        left=EndpointType.SMOOTH_COLLAPSE,
+        right=EndpointType.BLOWDOWN,
+    )
+
+
+@pytest.fixture(scope="session")
+def right_profile(right_spec):
+    return solve(right_spec)
+
+
+@pytest.fixture(scope="session")
+def both_spec():
+    """Factors (1, 2, 1) + (1, 7, 3) + (1, 2, 1), m = 4, both ends blown down.
+
+    Both-ends blowdowns lie beyond the source construction, which blows
+    down at most one end; the package solves and certifies them anyway.
+    """
+    return BundleSpec(
+        factors=(FactorSpec(n=1, p=2, q=1), FactorSpec(n=1, p=7, q=3), FactorSpec(n=1, p=2, q=1)),
+        m=4.0,
+        left=EndpointType.BLOWDOWN,
+        right=EndpointType.BLOWDOWN,
+    )
+
+
+@pytest.fixture(scope="session")
+def both_profile(both_spec):
+    return solve(both_spec)

@@ -29,6 +29,15 @@ BLOW_FACTORS = ((1, 2, 1), (1, 3, 1))
 BLOW_M = 2.0
 K0_BLOW = 20.842223363325445
 
+# Right-blowdown instance: factors (1, 4, 1) + (2, 3, 1), m = 3.3, left
+# end a smooth collapse, right end a blowdown.  Root from oracle_root
+# (Simpson, 8193 nodes, plus bisection) on the bracket [30, 50].
+K0_RIGHT = 40.57251817827793
+
+# Both ends blown down: factors (1, 2, 1) + (1, 7, 3) + (1, 2, 1), m = 4.
+# Root from oracle_root on the bracket [20, 30].
+K0_BOTH = 24.752329252810554
+
 
 def simpson(values, h):
     """Composite Simpson rule over an odd number of uniform samples."""

@@ -355,6 +355,19 @@ def test_cli_profile_nonpositive_beta_is_not_certified(solution_file, tmp_path, 
     assert not csv_path.exists() and not svg_path.exists()
 
 
+def test_cli_profile_does_not_run_the_certification(solution_file, tmp_path, monkeypatch):
+    # the SVG residual panel samples the residuals itself; verify is not called
+    want, got = tmp_path / "want.svg", tmp_path / "got.svg"
+    assert main(["profile", solution_file, "--svg", str(want), "--grid", "65"]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("qe profile ran verify")
+
+    monkeypatch.setattr(qebundle.verifier, "verify", refuse)
+    assert main(["profile", solution_file, "--svg", str(got), "--grid", "65"]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_cli_profile_is_deterministic(solution_file, tmp_path):
     paths = [(tmp_path / f"{k}.csv", tmp_path / f"{k}.svg") for k in "ab"]
     for csv_path, svg_path in paths:

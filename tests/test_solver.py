@@ -147,6 +147,16 @@ def test_solve_reproduces_frozen_oracle_root_blowdown(blow_profile):
     assert abs(blow_profile.params.kappa0 - orc.K0_BLOW) < 1e-10
 
 
+def test_solve_reproduces_frozen_oracle_root_right_blowdown(right_profile):
+    assert abs(right_profile.params.kappa0 - orc.K0_RIGHT) < 1e-10
+
+
+def test_solve_reproduces_frozen_oracle_root_both_blowdowns(both_profile):
+    # both ends blown down goes beyond the source construction (at most
+    # one end is blown down there); the oracle root still pins it
+    assert abs(both_profile.params.kappa0 - orc.K0_BOTH) < 1e-10
+
+
 def test_solve_agrees_with_live_simpson_bisection(ref_profile):
     live = orc.oracle_root(orc.REF_FACTORS, 2.0, 1.0, 50.0)
     assert abs(ref_profile.params.kappa0 - live) < 1e-10

@@ -150,6 +150,21 @@ def test_blowdown_profile_certifies(blow_report):
     assert blow_report.checks["beta_left_slope_minus_1"]["value"] == 0.0
 
 
+def test_right_blowdown_profile_certifies(right_profile, right_spec):
+    report = verify(right_profile, right_spec, grid_size=201)
+    assert report.certified
+    assert report.checks["beta_right_at_sstar"]["passed"]
+
+
+def test_both_blowdowns_profile_certifies(both_profile, both_spec):
+    # beyond the source construction, which blows down at most one end:
+    # both blown-down ends certify here all the same
+    report = verify(both_profile, both_spec, grid_size=201)
+    assert report.certified
+    assert report.checks["beta_left_at_0"]["passed"]
+    assert report.checks["beta_right_at_sstar"]["passed"]
+
+
 def test_report_residual_levels(ref_report):
     assert ref_report.checks["res25_max"]["value"] < 1e-10
     assert ref_report.checks["res26_max"]["value"] < 1e-10
@@ -237,17 +252,38 @@ def test_certified_is_conjunction_of_checks(ref_report):
     assert ref_report.certified == all(c["passed"] for c in ref_report.checks.values())
 
 
-def test_corrupted_alpha_table_fails_the_quad_spot_check(ref_profile, ref_spec, monkeypatch):
+@pytest.mark.parametrize("name", ["ref", "right"])
+def test_corrupted_alpha_table_fails_the_quad_spot_check(name, request, monkeypatch):
     # alpha' and alpha'' come from the ODE, not from the table, so the
     # residual checks alone cannot see a table that is slightly off; the
-    # adaptive-quadrature spot check must
+    # adaptive-quadrature spot check must, also where a right blowdown
+    # anchors alpha on the tail sums
+    spec = request.getfixturevalue(f"{name}_spec")
+    profile = request.getfixturevalue(f"{name}_profile")
     build = solver._alpha_table
 
     def corrupted(params, spec):
-        edges, cum = build(params, spec)
-        return edges, cum * (1.0 + 1e-6)
+        edges, cum, tail = build(params, spec)
+        return edges, cum * (1.0 + 1e-6), tail * (1.0 + 1e-6)
 
     monkeypatch.setattr(solver, "_alpha_table", corrupted)
-    report = verify(ref_profile, ref_spec, grid_size=65)
+    report = verify(profile, spec, grid_size=65)
+    assert not report.checks["alpha_quad_spot"]["passed"]
+    assert not report.certified
+
+
+def test_tail_spots_see_a_table_broken_next_to_a_right_blowdown(
+    right_profile, right_spec, monkeypatch
+):
+    # only the tail sums from edges past 0.92 s_* are off: the spots from
+    # 0.1 to 0.9 s_* cannot see that, the two at 0.95 and 0.99 s_* must
+    build = solver._alpha_table
+
+    def corrupted(params, spec):
+        edges, cum, tail = build(params, spec)
+        return edges, cum, np.where(edges > 0.92 * params.s_star, tail * (1.0 + 1e-6), tail)
+
+    monkeypatch.setattr(solver, "_alpha_table", corrupted)
+    report = verify(right_profile, right_spec, grid_size=65)
     assert not report.checks["alpha_quad_spot"]["passed"]
     assert not report.certified
