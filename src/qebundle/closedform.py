@@ -25,11 +25,14 @@ factor at that end (0 for a smooth collapse of the circle fiber alone).
 
 Everything in this module is exact arithmetic on these formulas; the
 only numerics in the pipeline live in the quadrature for alpha and the
-root-find over kappa0 (see solver).
+root-find over kappa0 (see solver). The base factors sit on one leading
+array axis: beta and its derivatives have shape (r,) + shape(s), and V
+and the log V derivatives reduce over it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,10 +132,11 @@ def coefficients_A(
     one positive and one negative (their product is eps q_i^2/(8E) < 0
     with eps = -1).
     The NEGATIVE root is the default: it is the branch on which the
-    boundary defect acquires a root for the solvable configurations
-    (the positive branch keeps the defect single-signed over the whole
-    default bracket). ``root_signs`` overrides the choice per factor
-    with entries +1/-1; entries for blowdown factors are ignored.
+    boundary defect acquires a root for the solvable configurations.
+    Mixed choices can solve too, e.g. (+, -) for (1,8,3) + (4,3,2) at
+    m = 4, but none with every free factor on the positive root.
+    ``root_signs`` overrides the choice per factor with entries +1/-1;
+    entries for blowdown factors are ignored.
     """
     if root_signs is None:
         root_signs = (-1,) * spec.r
@@ -174,27 +178,51 @@ def params_from_kappa0(
 # ---------------------------------------------------------------------------
 
 
-def beta(i: int, s, params: SolutionParams, spec: BundleSpec):
-    """beta_i(s) = A_i (s+kappa0)^2 - q_i^2/(4 A_i)."""
-    a = params.A[i]
-    q = spec.factors[i].q
+@functools.lru_cache(maxsize=64)
+def _factor_table(factors, ndim):
+    table = np.array([(f.n, f.p, f.q) for f in factors], dtype=float).T
+    table.flags.writeable = False
+    return table.reshape(table.shape + (1,) * ndim)
+
+
+def factor_constants(spec: BundleSpec, ndim: int = 0):
+    """n, p, q of every factor: one read-only (3, r) + (1,) * ndim array, to unpack."""
+    return _factor_table(spec.factors, ndim)
+
+
+@functools.lru_cache(maxsize=16)
+def _beta_coefficients(A, factors):
+    """A_i and q_i^2/(4 A_i), shape (r,); cached, as beta is asked at many s per A."""
+    a, q = np.array(A), _factor_table(factors, 0)[2]
+    c = q * q / (4.0 * a)
+    a.flags.writeable = c.flags.writeable = False
+    return a, c
+
+
+def _coefficients(s, params: SolutionParams, spec: BundleSpec):
+    """s + kappa0, with A_i and q_i^2/(4 A_i) as columns broadcasting against it."""
     x = np.asarray(s, dtype=float) + params.kappa0
-    out = a * x * x - q * q / (4.0 * a)
-    return float(out) if np.ndim(s) == 0 else out
+    a, c = _beta_coefficients(params.A, spec.factors)
+    shape = a.shape + (1,) * x.ndim
+    return x, a.reshape(shape), c.reshape(shape)
 
 
-def beta_prime(i: int, s, params: SolutionParams, spec: BundleSpec):
-    """beta_i'(s) = 2 A_i (s+kappa0)."""
-    a = params.A[i]
-    x = np.asarray(s, dtype=float) + params.kappa0
-    out = 2.0 * a * x
-    return float(out) if np.ndim(s) == 0 else out
+def beta(s, params: SolutionParams, spec: BundleSpec):
+    """beta_i(s) = A_i (s+kappa0)^2 - q_i^2/(4 A_i), shape (r,) + shape(s)."""
+    x, a, c = _coefficients(s, params, spec)
+    return a * x * x - c
 
 
-def beta_second(i: int, s, params: SolutionParams, spec: BundleSpec):
-    """beta_i''(s) = 2 A_i."""
-    a = 2.0 * params.A[i]
-    return a if np.ndim(s) == 0 else np.full(np.shape(s), a)
+def beta_prime(s, params: SolutionParams, spec: BundleSpec):
+    """beta_i'(s) = 2 A_i (s+kappa0), shape (r,) + shape(s)."""
+    x, a, _ = _coefficients(s, params, spec)
+    return 2.0 * a * x
+
+
+def beta_second(s, params: SolutionParams, spec: BundleSpec):
+    """beta_i''(s) = 2 A_i, shape (r,) + shape(s)."""
+    x, a, _ = _coefficients(s, params, spec)
+    return np.full(a.shape[:1] + x.shape, 2.0 * a)
 
 
 def phi(s, params: SolutionParams):
@@ -210,43 +238,35 @@ def phi_prime(s, params: SolutionParams):
 
 def V(s, params: SolutionParams, spec: BundleSpec):
     """V(s) = prod_i beta_i(s)^(n_i); vanishes only at a blowdown end."""
-    s_arr = np.asarray(s, dtype=float)
-    out = np.ones_like(s_arr)
-    for i, fac in enumerate(spec.factors):
-        out = out * beta(i, s_arr, params, spec) ** fac.n
-    return float(out) if np.ndim(s) == 0 else out
+    # A Python-int exponent per factor: numpy squares exactly, an exponent array uses pow.
+    return math.prod(b**fac.n for b, fac in zip(beta(s, params, spec), spec.factors))
+
+
+def _positive_beta(s, params, spec):
+    """beta(s), after checking that every beta_i(s) > 0."""
+    b = beta(s, params, spec)
+    bad = np.any(b.reshape(spec.r, -1) <= 0.0, axis=1)
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        raise SingularVError(f"beta_{i} <= 0 at an evaluation point; log V derivatives undefined")
+    return b
 
 
 def logV_prime(s, params: SolutionParams, spec: BundleSpec):
     """(log V)'(s) = sum_i n_i beta_i'/beta_i; requires all beta_i(s) > 0."""
-    s_arr = np.asarray(s, dtype=float)
-    _require_positive_betas(s_arr, params, spec)
-    out = np.zeros_like(s_arr)
-    for i, fac in enumerate(spec.factors):
-        out = out + fac.n * beta_prime(i, s_arr, params, spec) / beta(i, s_arr, params, spec)
+    b = _positive_beta(s, params, spec)
+    n = factor_constants(spec, np.ndim(s))[0]
+    out = np.sum(n * beta_prime(s, params, spec) / b, axis=0)
     return float(out) if np.ndim(s) == 0 else out
 
 
 def logV_second(s, params: SolutionParams, spec: BundleSpec):
     """(log V)''(s) = sum_i n_i (beta_i'' beta_i - beta_i'^2)/beta_i^2."""
-    s_arr = np.asarray(s, dtype=float)
-    _require_positive_betas(s_arr, params, spec)
-    out = np.zeros_like(s_arr)
-    for i, fac in enumerate(spec.factors):
-        b = beta(i, s_arr, params, spec)
-        bp = beta_prime(i, s_arr, params, spec)
-        bpp = beta_second(i, s_arr, params, spec)
-        out = out + fac.n * (bpp * b - bp * bp) / (b * b)
+    b = _positive_beta(s, params, spec)
+    bp, bpp = beta_prime(s, params, spec), beta_second(s, params, spec)
+    n = factor_constants(spec, np.ndim(s))[0]
+    out = np.sum(n * (bpp * b - bp * bp) / (b * b), axis=0)
     return float(out) if np.ndim(s) == 0 else out
-
-
-def _require_positive_betas(s_arr, params, spec):
-    for i in range(spec.r):
-        b = beta(i, s_arr, params, spec)
-        if np.any(np.asarray(b) <= 0.0):
-            raise SingularVError(
-                f"beta_{i + 1} <= 0 at an evaluation point; log V derivatives undefined"
-            )
 
 
 def positivity_check(params: SolutionParams, spec: BundleSpec):
@@ -265,19 +285,14 @@ def positivity_check(params: SolutionParams, spec: BundleSpec):
         violation is None or a dict {"factor": i (1-based), "s": endpoint,
         "value": beta} for the first offender.
     """
-    ends = []
-    for i in range(spec.r):
-        left_is_zero = spec.left is EndpointType.BLOWDOWN and i == 0
-        right_is_zero = spec.right is EndpointType.BLOWDOWN and i == spec.r - 1
-        if not left_is_zero:
-            ends.append((i, 0.0))
-        if not right_is_zero:
-            ends.append((i, params.s_star))
-        # The open side next to a forced zero: monotonicity makes the
-        # sign there equal to the sign at the opposite end, already
-        # covered above.
-    for i, s_end in ends:
-        val = beta(i, s_end, params, spec)
-        if val <= 0.0:
-            return False, {"factor": i + 1, "s": s_end, "value": val}
-    return True, None
+    ends = (0.0, params.s_star)
+    vals = beta(ends, params, spec)  # (r, 2): each factor at both ends
+    if spec.left is EndpointType.BLOWDOWN:
+        vals[0, 0] = np.inf
+    if spec.right is EndpointType.BLOWDOWN:
+        vals[-1, 1] = np.inf
+    bad = vals <= 0.0
+    if not np.count_nonzero(bad):
+        return True, None
+    i, j = np.argwhere(bad)[0]
+    return False, {"factor": int(i) + 1, "s": ends[j], "value": float(vals[i, j])}

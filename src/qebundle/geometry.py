@@ -108,7 +108,7 @@ def reconstruct_t(
     dt[1:] = np.sum(_GL_WEIGHTS * scale / np.sqrt(sv.alpha(nodes, params, spec)), axis=1)
     t = np.cumsum(dt)
 
-    beta_mat = np.column_stack([cf.beta(i, s, params, spec) for i in range(spec.r)])
+    beta_mat = cf.beta(s, params, spec).T
     b_scale = float(np.max(np.abs(beta_mat)))
     neg = beta_mat < 0.0
     if np.any(np.abs(beta_mat[neg]) > 1e-12 * max(1.0, b_scale)):

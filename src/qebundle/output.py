@@ -128,12 +128,8 @@ def profile_table(
     ap[1:-1] = sv.alpha_derivatives(s[1:-1], params, spec)[1]
     slope0, slope_end = sv.boundary_slopes(params, spec)
     ap[0], ap[-1] = slope0, slope_end
-    cols = [s, a, ap]
-    cols += [cf.beta(i, s, params, spec) for i in range(spec.r)]
-    cols += [cf.phi(s, params), cf.V(s, params, spec), mp.t, mp.f]
-    cols += [mp.g[:, i] for i in range(spec.r)]
-    cols += [mp.v, mp.u]
-    return cols
+    cols = [s, a, ap, *cf.beta(s, params, spec), cf.phi(s, params), cf.V(s, params, spec)]
+    return cols + [mp.t, mp.f, *mp.g.T, mp.v, mp.u]
 
 
 def write_csv(
@@ -231,8 +227,7 @@ def write_svg(
 ):
     """Profile plot: alpha and beta_i over s, residual magnitudes over s."""
     top_series = [("alpha", mp.f**2)]
-    for i in range(spec.r):
-        top_series.append((f"beta_{i + 1}", cf.beta(i, mp.s, params, spec)))
+    top_series += [(f"beta_{i + 1}", b) for i, b in enumerate(cf.beta(mp.s, params, spec))]
     # Residuals on 129 points of the verifier's grid (default margin).
     delta = 1e-3 * params.s_star
     grid = vf.chebyshev_grid(delta, params.s_star - delta, 129)
@@ -240,9 +235,8 @@ def write_svg(
     res_series = [
         ("|res_I|", np.abs(vf.residual_25(sample, spec))),
         ("|res_II|", np.abs(vf.residual_26(sample, spec))),
+        *((f"|res_III_{i + 1}|", r) for i, r in enumerate(np.abs(vf.residual_27(sample, spec)))),
     ]
-    for i in range(spec.r):
-        res_series.append((f"|res_III_{i + 1}|", np.abs(vf.residual_27(sample, i, spec))))
     panels = [
         ("profile: alpha, beta_i vs s", mp.s, top_series),
         ("residual magnitudes vs s", grid, res_series),

@@ -345,7 +345,7 @@ def solve(
             continue
         if d0 == 0.0:
             sign_changes.append((float(grid[k]), float(grid[k])))
-        elif d0 * d1 < 0.0:
+        elif np.sign(d0) == -np.sign(d1):  # d0 * d1 can overflow at large m
             sign_changes.append((float(grid[k]), float(grid[k + 1])))
     if len(grid) and defects[-1] == 0.0:
         sign_changes.append((float(grid[-1]), float(grid[-1])))

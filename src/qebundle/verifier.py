@@ -103,9 +103,9 @@ def sample_at(s, params: cf.SolutionParams, spec: BundleSpec) -> ProfileSample:
         alpha=a,
         alpha_prime=ap,
         alpha_second=app,
-        beta=np.array([cf.beta(i, s, params, spec) for i in range(spec.r)]),
-        beta_prime=np.array([cf.beta_prime(i, s, params, spec) for i in range(spec.r)]),
-        beta_second=np.array([cf.beta_second(i, s, params, spec) for i in range(spec.r)]),
+        beta=cf.beta(s, params, spec),
+        beta_prime=cf.beta_prime(s, params, spec),
+        beta_second=cf.beta_second(s, params, spec),
         phi=cf.phi(s, params),
         phi_prime=cf.phi_prime(s, params),
         logV_prime=cf.logV_prime(s, params, spec),
@@ -115,10 +115,9 @@ def sample_at(s, params: cf.SolutionParams, spec: BundleSpec) -> ProfileSample:
 
 def residual_25(sample: ProfileSample, spec: BundleSpec):
     """Residual of equation (I); phi'' = 0 for the linear phi."""
-    ansum = 0.0
-    for i, fac in enumerate(spec.factors):
-        b, bp, bpp = sample.beta[i], sample.beta_prime[i], sample.beta_second[i]
-        ansum += fac.n * (bpp / b - 0.5 * (bp / b) ** 2)
+    n = cf.factor_constants(spec, np.ndim(sample.s))[0]
+    b, bp, bpp = sample.beta, sample.beta_prime, sample.beta_second
+    ansum = np.sum(n * (bpp / b - 0.5 * (bp / b) ** 2), axis=0)
     return (
         0.5 * sample.alpha_second
         + 0.5 * sample.alpha_prime * sample.logV_prime
@@ -130,9 +129,8 @@ def residual_25(sample: ProfileSample, spec: BundleSpec):
 
 def residual_26(sample: ProfileSample, spec: BundleSpec):
     """Residual of equation (II)."""
-    qsum = 0.0
-    for i, fac in enumerate(spec.factors):
-        qsum += fac.n * fac.q**2 / (2.0 * sample.beta[i] ** 2)
+    n, _, q = cf.factor_constants(spec, np.ndim(sample.s))
+    qsum = np.sum(n * q**2 / (2.0 * sample.beta**2), axis=0)
     return (
         0.5 * sample.alpha_second
         + 0.5 * sample.alpha_prime * sample.logV_prime
@@ -142,16 +140,16 @@ def residual_26(sample: ProfileSample, spec: BundleSpec):
     )
 
 
-def residual_27(sample: ProfileSample, i: int, spec: BundleSpec):
-    """Residual of equation (III) for factor i."""
-    fac = spec.factors[i]
-    b, bp, bpp = sample.beta[i], sample.beta_prime[i], sample.beta_second[i]
+def residual_27(sample: ProfileSample, spec: BundleSpec):
+    """Residuals of equation (III), one row per factor: shape (r,) + shape(s)."""
+    _, p, q = cf.factor_constants(spec, np.ndim(sample.s))
+    b, bp, bpp = sample.beta, sample.beta_prime, sample.beta_second
     return (
         0.5 * sample.alpha_prime * bp / b
         + 0.5 * sample.alpha * (bpp / b - (bp / b) ** 2)
         + 0.5 * sample.alpha * bp * sample.logV_prime / b
-        - fac.p / b
-        + fac.q**2 * sample.alpha / (2.0 * b * b)
+        - p / b
+        + q**2 * sample.alpha / (2.0 * b * b)
         + 0.5 * spec.m * sample.alpha * bp * sample.phi_prime / (b * sample.phi)
         - 0.5 * spec.epsilon
     )
@@ -169,18 +167,18 @@ def mu_of_s(sample: ProfileSample, spec: BundleSpec):
     )
 
 
-def ansatz_residual(sample: ProfileSample, i: int, spec: BundleSpec):
-    """b''/b - (1/2)(b'/b)^2 + q^2/(2 b^2) for factor i (identically 0)."""
-    fac = spec.factors[i]
-    b, bp, bpp = sample.beta[i], sample.beta_prime[i], sample.beta_second[i]
-    return bpp / b - 0.5 * (bp / b) ** 2 + fac.q**2 / (2.0 * b * b)
+def ansatz_residual(sample: ProfileSample, spec: BundleSpec):
+    """b''/b - (1/2)(b'/b)^2 + q^2/(2 b^2) per factor (identically 0): shape (r,) + shape(s)."""
+    q = cf.factor_constants(spec, np.ndim(sample.s))[2]
+    b, bp, bpp = sample.beta, sample.beta_prime, sample.beta_second
+    return bpp / b - 0.5 * (bp / b) ** 2 + q**2 / (2.0 * b * b)
 
 
-def _ansatz_scale(sample: ProfileSample, i: int, spec: BundleSpec):
-    """Magnitude of the largest term in the ansatz (all carry 1/b^2)."""
-    fac = spec.factors[i]
-    b, bp, bpp = sample.beta[i], sample.beta_prime[i], sample.beta_second[i]
-    return np.maximum(np.maximum(np.abs(bpp / b), 0.5 * (bp / b) ** 2), fac.q**2 / (2.0 * b * b))
+def _ansatz_scale(sample: ProfileSample, spec: BundleSpec):
+    """Magnitude of the largest term in the ansatz (all carry 1/b^2), per factor."""
+    q = cf.factor_constants(spec, np.ndim(sample.s))[2]
+    b, bp, bpp = sample.beta, sample.beta_prime, sample.beta_second
+    return np.maximum(np.maximum(np.abs(bpp / b), 0.5 * (bp / b) ** 2), q**2 / (2.0 * b * b))
 
 
 def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -241,12 +239,10 @@ def verify(
 
     res25 = residual_25(sample, spec)
     res26 = residual_26(sample, spec)
-    res27 = np.column_stack([residual_27(sample, i, spec) for i in range(spec.r)])
+    res27 = residual_27(sample, spec).T
     mu_s = mu_of_s(sample, spec)
-    ansatz = np.column_stack([ansatz_residual(sample, i, spec) for i in range(spec.r)])
-    ansatz_scaled = np.abs(ansatz) / np.column_stack(
-        [_ansatz_scale(sample, i, spec) for i in range(spec.r)]
-    )
+    ansatz = ansatz_residual(sample, spec).T
+    ansatz_scaled = np.abs(ansatz) / _ansatz_scale(sample, spec).T
     mu_dev = float(np.max(np.abs(mu_s - params.mu)) / max(1.0, abs(params.mu)))
 
     # Boundary values and slopes. alpha(s_*) under a right blowdown is 0
@@ -261,11 +257,11 @@ def verify(
         "slope_at_sstar_plus_2": float(slope_end + 2.0),
     }
     if spec.left is EndpointType.BLOWDOWN:
-        boundary["beta_left_at_0"] = cf.beta(0, 0.0, params, spec)
-        boundary["beta_left_slope_minus_1"] = cf.beta_prime(0, 0.0, params, spec) - 1.0
+        boundary["beta_left_at_0"] = float(cf.beta(0.0, params, spec)[0])
+        boundary["beta_left_slope_minus_1"] = float(cf.beta_prime(0.0, params, spec)[0]) - 1.0
     if spec.right is EndpointType.BLOWDOWN:
-        boundary["beta_right_at_sstar"] = cf.beta(spec.r - 1, s_star, params, spec)
-        boundary["beta_right_slope_plus_1"] = cf.beta_prime(spec.r - 1, s_star, params, spec) + 1.0
+        boundary["beta_right_at_sstar"] = float(cf.beta(s_star, params, spec)[-1])
+        boundary["beta_right_slope_plus_1"] = float(cf.beta_prime(s_star, params, spec)[-1]) + 1.0
 
     # Endpoint quadratic residuals (exact algebraic identities).
     qL = 0.5 * params.kappa0**2 + 2.0 * (spec.n_left + 1) * params.kappa0 - params.E
@@ -344,14 +340,8 @@ def verify(
     check("fd_check", fd_worst, TOL_FD)
     check("defect_at_root", defect, 10.0 * sv.QUAD_REL_TOL * max(1.0, dscale))
     check("alpha_quad_spot", spot_worst, TOL_RESIDUAL * max(1.0, alpha_max))
-    for name in (
-        "beta_left_at_0",
-        "beta_left_slope_minus_1",
-        "beta_right_at_sstar",
-        "beta_right_slope_plus_1",
-    ):
-        if name in boundary:
-            check(name, boundary[name], TOL_ALGEBRAIC)
+    for name in [k for k in boundary if k.startswith("beta_")]:
+        check(name, boundary[name], TOL_ALGEBRAIC)
     checks["positivity"] = {
         "value": 1.0 if positivity_ok else 0.0,
         "tol": 1.0,
@@ -416,10 +406,10 @@ def verify_t_system(
     mp = reconstruct_t(params, spec, grid_size)
     _, val, d1, d2 = _window_fits(mp, np.column_stack([mp.f, mp.v, mp.g]))
     f, fd, fdd, v, vd = val[:, 0], d1[:, 0], d2[:, 0], val[:, 1], d1[:, 1]
+    g, gd = val[:, 2:].T, d1[:, 2:].T
+    n, _, q = cf.factor_constants(spec, 1)
     res = fdd / f + spec.m * fd * vd / (f * v) - 0.5 * spec.epsilon
-    for i, fac in enumerate(spec.factors):
-        g, gd = val[:, 2 + i], d1[:, 2 + i]
-        res += 2.0 * fac.n * fd * gd / (f * g) - 0.5 * fac.n * fac.q**2 * f**2 / g**4
+    res += np.sum(2.0 * n * fd * gd / (f * g) - 0.5 * n * q**2 * f**2 / g**4, axis=0)
     return float(np.max(np.abs(res), initial=0.0))
 
 

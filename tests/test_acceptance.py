@@ -177,8 +177,8 @@ def test_criterion_07_blowdown_instance(blow_spec, blow_profile, blow_report_512
 
     p = blow_profile.params
     k_dev = abs(p.kappa0 - orc.K0_BLOW)
-    b0 = abs(beta(0, 0.0, p, blow_spec))
-    bp0 = abs(beta_prime(0, 0.0, p, blow_spec) - 1.0)
+    b0 = abs(beta(0.0, p, blow_spec)[0])
+    bp0 = abs(beta_prime(0.0, p, blow_spec)[0] - 1.0)
     res = max(
         float(np.max(np.abs(blow_report_512.res_25))),
         float(np.max(np.abs(blow_report_512.res_26))),

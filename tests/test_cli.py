@@ -41,6 +41,9 @@ BLOW_DOC = {
 }
 
 
+MIXED_FACTORS = [{"n": 1, "p": 8, "q": 3}, {"n": 4, "p": 3, "q": 2}]
+
+
 @pytest.fixture()
 def spec_file(tmp_path):
     path = tmp_path / "spec.json"
@@ -260,6 +263,24 @@ def test_cli_solve_no_root_exit_code(tmp_path, spec_file):
     )
     assert code == 3
     assert not out.exists()
+
+
+def test_cli_solve_mixed_root_signs(tmp_path, capsys):
+    # a non-default choice that solves and certifies: factor 1 on the
+    # positive root, factor 2 on the default negative one; with both on
+    # the positive root the defect has no sign change
+    spec = tmp_path / "mixed.json"
+    spec.write_text(json.dumps(dict(REF_DOC, factors=MIXED_FACTORS, m=4.0)))
+    out = tmp_path / "mixed-sol.json"
+    assert main(["solve", str(spec), "--root-signs", "+,-", "-o", str(out)]) == 0
+    params = load_json(out)["params"]
+    assert params["kappa0"] == pytest.approx(4.960471058319642, abs=1e-10)
+    assert params["A"][0] > 0.0 > params["A"][1]
+    assert main(["verify", str(out)]) == 0
+    assert "certified" in capsys.readouterr().err
+    none = tmp_path / "none.json"
+    assert main(["solve", str(spec), "--root-signs", "+,+", "-o", str(none)]) == 3
+    assert not none.exists()
 
 
 def test_cli_solve_invalid_spec_exit_code(tmp_path):

@@ -1,5 +1,7 @@
 """Closed-form layer: endpoint quadratic, coefficients, profile pieces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -204,27 +206,27 @@ def test_beta_is_the_declared_quadratic(ref_profile, ref_spec):
     a = p.A[0]
     for s in np.linspace(0.3, 3.7, 7):
         x = s + p.kappa0
-        assert beta(0, s, p, ref_spec) == pytest.approx(
+        assert beta(s, p, ref_spec)[0] == pytest.approx(
             a * x * x - 1.0 / (4.0 * a), rel=1e-14
         )
-        assert beta_prime(0, s, p, ref_spec) == pytest.approx(2.0 * a * x, rel=1e-14)
-        assert beta_second(0, s, p, ref_spec) == pytest.approx(2.0 * a, rel=1e-14)
+        assert beta_prime(s, p, ref_spec)[0] == pytest.approx(2.0 * a * x, rel=1e-14)
+        assert beta_second(s, p, ref_spec)[0] == pytest.approx(2.0 * a, rel=1e-14)
 
 
 def test_beta_accepts_arrays(ref_profile, ref_spec):
     p = ref_profile.params
     s = np.linspace(0.1, 3.9, 5)
-    vals = beta(0, s, p, ref_spec)
+    vals = beta(s, p, ref_spec)[0]
     assert vals.shape == s.shape
-    assert vals[2] == beta(0, s[2], p, ref_spec)
+    assert vals[2] == beta(s[2], p, ref_spec)[0]
 
 
 def test_blowdown_boundary_values_of_beta(blow_profile, blow_spec):
     # beta_1(0) = 0 and beta_1'(0) = 1 are exact consequences of
     # A_1 = 1/(2 kappa0), not numerics
     p = blow_profile.params
-    assert beta(0, 0.0, p, blow_spec) == 0.0
-    assert beta_prime(0, 0.0, p, blow_spec) == 1.0
+    assert beta(0.0, p, blow_spec)[0] == 0.0
+    assert beta_prime(0.0, p, blow_spec)[0] == 1.0
 
 
 def test_right_blowdown_boundary_values_of_beta():
@@ -232,8 +234,8 @@ def test_right_blowdown_boundary_values_of_beta():
     E = 6.0
     kappa0, s_star = kappa0_and_sstar(E, spec)
     p = params_from_kappa0(kappa0, spec)
-    assert abs(beta(1, s_star, p, spec)) < 1e-14
-    assert beta_prime(1, s_star, p, spec) == pytest.approx(-1.0, abs=1e-14)
+    assert abs(beta(s_star, p, spec)[1]) < 1e-14
+    assert beta_prime(s_star, p, spec)[1] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_phi_is_linear(ref_profile):
@@ -248,7 +250,7 @@ def test_V_is_product_of_beta_powers(blow_profile, blow_spec):
     for s in (0.5, 2.0, 17.0):
         if s >= p.s_star:
             continue
-        expected = beta(0, s, p, blow_spec) ** 1 * beta(1, s, p, blow_spec) ** 1
+        expected = beta(s, p, blow_spec)[0] ** 1 * beta(s, p, blow_spec)[1] ** 1
         assert V(s, p, blow_spec) == pytest.approx(expected, rel=1e-14)
 
 
@@ -287,9 +289,9 @@ def test_ansatz_identity_holds_pointwise(ref_profile, ref_spec):
     # combination vanishes
     p = ref_profile.params
     for s in np.linspace(0.2, 3.8, 7):
-        b = beta(0, s, p, ref_spec)
-        bp = beta_prime(0, s, p, ref_spec)
-        bpp = beta_second(0, s, p, ref_spec)
+        b = beta(s, p, ref_spec)[0]
+        bp = beta_prime(s, p, ref_spec)[0]
+        bpp = beta_second(s, p, ref_spec)[0]
         lhs = bpp / b - 0.5 * (bp / b) ** 2
         rhs = -1.0 / (2.0 * b * b)
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -313,6 +315,32 @@ def test_positivity_check_flags_broken_coefficients(ref_profile, ref_spec):
     assert not ok
     assert violation["factor"] == 1
     assert violation["value"] <= 0.0
+
+
+@pytest.mark.parametrize("spec_name", ["ref_spec", "blow_spec", "right_spec", "both_spec"])
+def test_positivity_check_matches_factor_by_factor_reference(request, spec_name):
+    # the check reads every factor at both ends at once; the reference
+    # walks them one by one, left end first, skipping a blowdown
+    # factor's own end, and reports the first offender. Shrunk or
+    # sign-flipped coefficients make some factors fail.
+    spec = request.getfixturevalue(spec_name)
+    forced = {(0, 0): spec.left is BLOWDOWN, (spec.r - 1, 1): spec.right is BLOWDOWN}
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for kappa0 in np.geomspace(1e-3, 1e3, 64):
+        p = params_from_kappa0(kappa0, spec)
+        scale = rng.choice([1.0, 1e-3, -1.0], size=spec.r)
+        p = dataclasses.replace(p, A=tuple(float(a * f) for a, f in zip(p.A, scale)))
+        want = (True, None)
+        for i, j in np.ndindex(spec.r, 2):
+            s = (0.0, p.s_star)[j]
+            value = beta(s, p, spec)[i]
+            if not forced.get((i, j)) and value <= 0.0:
+                want = (False, {"factor": i + 1, "s": s, "value": value})
+                break
+        assert positivity_check(p, spec) == want
+        outcomes.add(want[0])
+    assert outcomes == {True, False}
 
 
 def test_kappa1_scales_phi_and_mu_only(ref_spec):

@@ -36,7 +36,7 @@ def test_profile_functions_are_consistent(ref_metric, ref_profile, ref_spec):
         np.sqrt(alpha(s, p, ref_spec)), rel=1e-12
     )
     assert ref_metric.g[k, 0] == pytest.approx(
-        np.sqrt(beta(0, s, p, ref_spec)), rel=1e-12
+        np.sqrt(beta(s, p, ref_spec)[0]), rel=1e-12
     )
     assert ref_metric.v[k] == pytest.approx(phi(s, p), rel=1e-15)
     assert ref_metric.u[k] == pytest.approx(-2.0 * np.log(ref_metric.v[k]), rel=1e-14)

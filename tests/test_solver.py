@@ -1,6 +1,7 @@
 """Quadrature layer and defect root-find, against independent numerics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,43 @@ def test_solve_both_blowdown_with_middle_factor():
     assert prof.params.s_star == pytest.approx(8.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "factors, m, right, sign_changes, roots",
+    [
+        (
+            ((1, 4, 1), (2, 3, 1)),
+            64.0,
+            BLOWDOWN,
+            ((415.95621630718426, 517.9474679231203),),
+            (468.95845130578823,),
+        ),
+        (
+            ((1, 4, 1), (2, 3, 1)),
+            100.0,
+            BLOWDOWN,
+            ((644.946677103762, 803.0857221391504),),
+            (722.1499449723636,),
+        ),
+        (
+            ((2, 3, 1),),
+            100.0,
+            COLLAPSE,
+            ((268.26957952797216, 334.04849835132444),),
+            (297.05971628434196,),
+        ),
+    ],
+)
+def test_scan_at_large_m_compares_signs_without_overflow(factors, m, right, sign_changes, roots):
+    # at large m the scanned defects are so large that the product of two
+    # neighbours overflows; the scan must find the same roots without it
+    spec = BundleSpec(factors=tuple(FactorSpec(*f) for f in factors), m=m, right=right)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        prof = solve(spec)
+    assert prof.all_sign_changes == sign_changes
+    assert prof.roots == roots
+
+
 # ---------------------------------------------------------------------------
 # alpha and its derivatives
 # ---------------------------------------------------------------------------
@@ -375,7 +413,7 @@ def test_alpha_at_right_blowdown_end_when_beta_rounds_off_zero():
         factors=(FactorSpec(1, 4, 1), FactorSpec(2, 3, 1)), m=3.3, right=BLOWDOWN
     )
     p = params_from_kappa0(40.57251817827792, spec)
-    assert beta(1, p.s_star, p, spec) != 0.0
+    assert beta(p.s_star, p, spec)[1] != 0.0
     a_max = np.max(np.abs(alpha(chebyshev_grid(0.0, p.s_star, 201), p, spec)))
     assert abs(alpha(p.s_star, p, spec)) <= 1e-3 * a_max
 

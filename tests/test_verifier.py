@@ -41,7 +41,7 @@ def test_residuals_vanish_on_solved_profile(ref_profile, ref_spec):
         smp = sample_at(s, p, ref_spec)
         assert abs(residual_25(smp, ref_spec)) < 1e-10
         assert abs(residual_26(smp, ref_spec)) < 1e-10
-        assert abs(residual_27(smp, 0, ref_spec)) < 1e-10
+        assert abs(residual_27(smp, ref_spec)[0]) < 1e-10
 
 
 def test_residual_difference_is_weighted_ansatz(ref_profile, ref_spec):
@@ -51,7 +51,7 @@ def test_residual_difference_is_weighted_ansatz(ref_profile, ref_spec):
         smp = sample_at(s, p, ref_spec)
         diff = residual_25(smp, ref_spec) - residual_26(smp, ref_spec)
         weighted = smp.alpha * sum(
-            fac.n * ansatz_residual(smp, i, ref_spec)
+            fac.n * ansatz_residual(smp, ref_spec)[i]
             for i, fac in enumerate(ref_spec.factors)
         )
         assert diff == pytest.approx(weighted, abs=1e-14)
@@ -77,8 +77,8 @@ def test_residual_27_reduces_to_left_quadratic_at_zero(ref_profile, ref_spec):
     # at s = 0 the equation collapses to (beta'(0) - p)/beta(0) = eps/2,
     # which is the left endpoint quadratic in disguise
     p = ref_profile.params
-    b0 = beta(0, 0.0, p, ref_spec)
-    bp0 = beta_prime(0, 0.0, p, ref_spec)
+    b0 = beta(0.0, p, ref_spec)[0]
+    bp0 = beta_prime(0.0, p, ref_spec)[0]
     assert (bp0 - 3.0) / b0 == pytest.approx(-0.5, abs=1e-12)
 
 
