@@ -282,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--root-signs",
         default=None,
-        help="comma list of +/- choosing each factor's A-root (default all -)",
+        help=(
+            "comma list of +/- choosing each factor's A-root (default all -); "
+            "a list starting with - must be written --root-signs=-,+"
+        ),
     )
     p.add_argument("-o", "--output", default=None, help="solution JSON path (default stdout)")
     p.set_defaults(func=cmd_solve)

@@ -38,7 +38,7 @@ class NoSignChangeError(QEError):
 
     ``scan_table`` holds (kappa0, defect) pairs so the caller can widen
     the bracket with full information; NaN defects mark positivity
-    failures at that kappa0.
+    failures, or a left root that is not positive, at that kappa0.
     """
 
     def __init__(self, message, scan_table=None):

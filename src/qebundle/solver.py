@@ -31,8 +31,8 @@ verifier's independent reference for the leftover defect and for alpha.
 
 The solver scans a log-uniform kappa0 grid, records every sign change
 of D, polishes each to a root, and returns the smallest root as the
-primary profile. Positivity failures during the scan are recorded as
-NaN rows, not fatal errors.
+primary profile. Scan points where positivity or the closed form fails
+are recorded as NaN rows, not fatal errors.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import closedform as cf
-from .errors import NoSignChangeError, PositivityError
+from .errors import NonPositiveKappa0Error, NoSignChangeError, PositivityError
 from .spec import BundleSpec, EndpointType, validate_spec
 
 
@@ -55,7 +55,7 @@ class SolverConfig:
 
     bracket : (lo, hi) kappa0 search interval, 0 < lo < hi < inf.
     scan_points : log-uniform samples of the defect across the bracket.
-    root_tol : absolute tolerance on kappa0 in the bisection polish.
+    root_tol : absolute tolerance on kappa0 in the Brent (brentq) polish.
 
     The defect and alpha both come from the fixed-order table (see
     alpha), which has no tolerance to set.
@@ -80,7 +80,7 @@ class SolvedProfile:
     """Result of the defect root-find.
 
     params : parameters at the primary (smallest) root.
-    defect_at_root : D(kappa0*) left over after bisection.
+    defect_at_root : D(kappa0*) left over after the Brent polish.
     bracket_used : the scanned (lo, hi).
     all_sign_changes : every (lo, hi) scan sub-interval where D changed
         sign, in ascending order.
@@ -264,8 +264,8 @@ def boundary_slopes(params, spec):
     """
     steps = np.array([1.0, 2.0, 4.0])
     d = SLOPE_DELTA_FRAC * params.s_star
-    left = richardson(*(alpha(steps * d, params, spec) / (steps * d)))
-    a_end = alpha(params.s_star - steps * d, params, spec)
+    a_start, a_end = alpha(np.array([steps * d, params.s_star - steps * d]), params, spec)
+    left = richardson(*(a_start / (steps * d)))
     a_star = richardson(*a_end)
     # alpha(s_*-delta) ~ alpha(s_*) - alpha'(s_*) delta; remove the
     # extrapolated endpoint value so a nonzero defect does not bias the
@@ -287,6 +287,8 @@ def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
     PositivityError
         If some beta_i <= 0 on (0, s_*) for this kappa0 (the scan in
         ``solve`` records such points as NaN rather than aborting).
+    NonPositiveKappa0Error
+        If kappa0 is too small for a positive left root (also a NaN row).
     """
     params = cf.params_from_kappa0(kappa0, spec, root_signs=root_signs)
     ok, violation = cf.positivity_check(params, spec)
@@ -306,7 +308,7 @@ def solve(
     root_signs=None,
     kappa1: float = 1.0,
 ) -> SolvedProfile:
-    """Locate kappa0 with alpha(s_*) = 0 by scan plus bisection.
+    """Locate kappa0 with alpha(s_*) = 0 by scan plus Brent's method.
 
     Scans ``config.scan_points`` log-uniform kappa0 values across the
     bracket, records every sign change of the defect, polishes each to
@@ -335,7 +337,7 @@ def solve(
     for k, kappa0 in enumerate(grid):
         try:
             defects[k] = boundary_defect(float(kappa0), spec, root_signs)
-        except PositivityError:
+        except (PositivityError, NonPositiveKappa0Error):
             pass  # NaN row in the scan table
 
     sign_changes = []

@@ -247,8 +247,7 @@ def verify(
 
     # Boundary values and slopes. alpha(s_*) under a right blowdown is 0
     # by construction (see solver.alpha).
-    alpha_at_0 = sv.alpha(0.0, params, spec)
-    alpha_at_sstar = sv.alpha(s_star, params, spec)
+    alpha_at_0, alpha_at_sstar = sv.alpha(np.array([0.0, s_star]), params, spec)
     slope0, slope_end = sv.boundary_slopes(params, spec)
     boundary = {
         "alpha_at_0": float(alpha_at_0),
@@ -276,27 +275,21 @@ def verify(
         positivity_ok = False
         violation = {"factor": None, "s": float(grid[bad]), "value": float(alpha_grid[bad])}
 
-    # Finite-difference cross-checks at h = 1e-6 s_* on 10 interior points.
+    # Finite-difference cross-checks at h = 1e-6 s_*: rows -h, 0, +h at 10 interior points.
     h = 1e-6 * s_star
     fd_points = np.linspace(0.1 * s_star, 0.9 * s_star, 10)
-    a_hi, ap_hi, _ = sv.alpha_derivatives(fd_points + h, params, spec)
-    a_lo, ap_lo, _ = sv.alpha_derivatives(fd_points - h, params, spec)
-    _, ap, app = sv.alpha_derivatives(fd_points, params, spec)
-    lp = cf.logV_prime(fd_points, params, spec)
+    pts = fd_points + h * np.array([[-1.0], [0.0], [1.0]])
+    a, ap, app = sv.alpha_derivatives(pts, params, spec)
+    lp = cf.logV_prime(pts, params, spec)
     lpp = cf.logV_second(fd_points, params, spec)
-    fd_l1 = (
-        np.log(cf.V(fd_points + h, params, spec)) - np.log(cf.V(fd_points - h, params, spec))
-    ) / (2 * h)
-    fd_l2 = (
-        cf.logV_prime(fd_points + h, params, spec) - cf.logV_prime(fd_points - h, params, spec)
-    ) / (2 * h)
+    logV = np.log(cf.V(pts, params, spec))
     fd_worst = float(
         np.max(
             [
-                np.abs((a_hi - a_lo) / (2 * h) - ap),
-                np.abs((ap_hi - ap_lo) / (2 * h) - app),
-                np.abs(fd_l1 - lp) / np.maximum(1.0, np.abs(lp)),
-                np.abs(fd_l2 - lpp) / np.maximum(1.0, np.abs(lpp)),
+                np.abs((a[2] - a[0]) / (2 * h) - ap[1]),
+                np.abs((ap[2] - ap[0]) / (2 * h) - app[1]),
+                np.abs((logV[2] - logV[0]) / (2 * h) - lp[1]) / np.maximum(1.0, np.abs(lp[1])),
+                np.abs((lp[2] - lp[0]) / (2 * h) - lpp) / np.maximum(1.0, np.abs(lpp)),
             ]
         )
     )
@@ -314,10 +307,9 @@ def verify(
         tail_spot = s_star * np.array([0.95, 0.99])
         spot = np.concatenate([spot, tail_spot])
         spot_int += [-sum(sv._piece_integrals(params, spec, s_star, lo=s)) for s in tail_spot]
-    spot_quad = [
-        v / (cf.V(s, params, spec) * (s + params.kappa0) ** (spec.m - 1.0))
-        for s, v in zip(spot, spot_int)
-    ]
+    spot_quad = np.array(spot_int) / (
+        cf.V(spot, params, spec) * (spot + params.kappa0) ** (spec.m - 1.0)
+    )
     spot_worst = float(np.max(np.abs(sv.alpha(spot, params, spec) - spot_quad)))
 
     alpha_max = float(np.max(np.abs(alpha_grid)))

@@ -26,6 +26,7 @@ from qebundle import (
     verify,
     verify_t_system,
 )
+from qebundle.verifier import TOL_T_SYSTEM
 
 COLLAPSE = EndpointType.SMOOTH_COLLAPSE
 BLOWDOWN = EndpointType.BLOWDOWN
@@ -239,6 +240,6 @@ def test_criterion_09_m_robustness(m_sweep_profiles):
 
 def test_criterion_10_t_system_spot_check(ref_profile, ref_spec):
     worst = verify_t_system(ref_profile.params, ref_spec)
-    ok = worst < 1e-4
+    ok = worst < TOL_T_SYSTEM
     announce(10, ok, f"t-coordinate fiber equation residual {worst:.2e} (fd-limited)")
     assert ok

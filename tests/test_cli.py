@@ -283,6 +283,19 @@ def test_cli_solve_mixed_root_signs(tmp_path, capsys):
     assert not none.exists()
 
 
+def test_cli_solve_root_signs_starting_with_minus(tmp_path, spec_file, capsys, monkeypatch):
+    # a value starting with - reads as an option unless attached with =;
+    # a wide terminal keeps argparse from wrapping the help at a hyphen
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert "a list starting with - must be written --root-signs=-,+" in capsys.readouterr().out
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    assert main(["solve", spec_file, "-o", str(default)]) == 0
+    assert main(["solve", spec_file, "--root-signs=-", "-o", str(explicit)]) == 0
+    assert explicit.read_bytes() == default.read_bytes()
+
+
 def test_cli_solve_invalid_spec_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(REF_DOC, m=0.5)))

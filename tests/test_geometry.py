@@ -15,6 +15,7 @@ from qebundle import (
 )
 from qebundle.closedform import beta, params_from_kappa0, phi
 from qebundle.solver import boundary_defect
+from qebundle.verifier import TOL_T_SYSTEM
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +97,7 @@ def test_reconstruct_rejects_non_root_profile(ref_spec):
 
 
 def test_t_system_residual_small_on_reference(ref_profile, ref_spec):
-    assert verify_t_system(ref_profile.params, ref_spec) < 1e-4
+    assert verify_t_system(ref_profile.params, ref_spec) < TOL_T_SYSTEM
 
 
 def test_dsdt_matches_f(ref_profile, ref_spec):

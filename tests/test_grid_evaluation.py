@@ -5,7 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qebundle import alpha_derivatives, ansatz_residual, chebyshev_grid, residual_27, sample_at
+from qebundle import (
+    V,
+    alpha,
+    alpha_derivatives,
+    ansatz_residual,
+    chebyshev_grid,
+    logV_prime,
+    logV_second,
+    residual_27,
+    sample_at,
+)
+from qebundle.solver import SLOPE_DELTA_FRAC
 
 PROFILES = [
     ("ref_profile", "ref_spec"),
@@ -19,6 +30,43 @@ def _grid(params):
     # the verifier's interior Chebyshev grid, at the default margin
     delta = 1e-3 * params.s_star
     return chebyshev_grid(delta, params.s_star - delta, 33)
+
+
+def _fd_stencil(params):
+    # the verifier's finite-difference points: rows -h, 0, +h, shape (3, 10)
+    h = 1e-6 * params.s_star
+    fd_points = np.linspace(0.1 * params.s_star, 0.9 * params.s_star, 10)
+    return fd_points + h * np.array([[-1.0], [0.0], [1.0]])
+
+
+def _on_points_and_pointwise(fn, points, p, spec):
+    """fn on the whole point array, and fn point by point laid out the same way."""
+    on_points = np.asarray(fn(points, p, spec))
+    # a tuple result (alpha_derivatives) stacks its parts first
+    pointwise = np.array([fn(s, p, spec) for s in points.ravel()])
+    return on_points, np.moveaxis(pointwise, 0, -1).reshape(on_points.shape)
+
+
+@pytest.mark.parametrize("profile_name, spec_name", PROFILES)
+@pytest.mark.parametrize("fn", [alpha, alpha_derivatives, logV_prime, logV_second, V])
+def test_profile_on_2d_points_equals_pointwise(request, profile_name, spec_name, fn):
+    p = request.getfixturevalue(profile_name).params
+    spec = request.getfixturevalue(spec_name)
+    points = _fd_stencil(p)
+    on_points, pointwise = _on_points_and_pointwise(fn, points, p, spec)
+    assert on_points.shape[-2:] == (3, 10)
+    assert np.array_equal(on_points, pointwise)
+
+
+@pytest.mark.parametrize("profile_name, spec_name", PROFILES)
+def test_alpha_at_end_points_equals_pointwise(request, profile_name, spec_name):
+    # the verifier's end values, and boundary_slopes' (2, 3) steps from both ends
+    p = request.getfixturevalue(profile_name).params
+    spec = request.getfixturevalue(spec_name)
+    d = SLOPE_DELTA_FRAC * p.s_star * np.array([1.0, 2.0, 4.0])
+    for points in (np.array([0.0, p.s_star]), np.array([d, p.s_star - d])):
+        on_points, pointwise = _on_points_and_pointwise(alpha, points, p, spec)
+        assert np.array_equal(on_points, pointwise)
 
 
 @pytest.mark.parametrize("profile_name, spec_name", PROFILES)

@@ -158,6 +158,16 @@ def test_solve_reproduces_frozen_oracle_root_both_blowdowns(both_profile):
     assert abs(both_profile.params.kappa0 - orc.K0_BOTH) < 1e-10
 
 
+def test_solve_records_tiny_kappa0_as_nan_scan_rows(ref_spec):
+    # at kappa0 ~ 1e-20 the left root recomputed from E rounds to 0; the
+    # scan must record NaN there and still find the root further up.
+    # The cancelling default A-root divides by zero at such E: ROADMAP
+    # item 1 (cancellation-free closed forms) removes that warning.
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        prof = solve(ref_spec, SolverConfig(bracket=(1e-20, 1e3)))
+    assert abs(prof.params.kappa0 - orc.K0_REF) < 1e-10
+
+
 def test_solve_agrees_with_live_simpson_bisection(ref_profile):
     live = orc.oracle_root(orc.REF_FACTORS, 2.0, 1.0, 50.0)
     assert abs(ref_profile.params.kappa0 - live) < 1e-10
