@@ -26,13 +26,17 @@ defect is taken as the bare integral D(kappa0) = int_0^{s_*} ... dr
 and positive, and stays well-defined at a right blowdown end where
 V(s_*) = 0. The defect is the last entry of the same table, so the
 scan, the root polish and alpha all use one integration rule. Adaptive
-Gauss-Kronrod quadrature (_piece_integrals) is kept only as the
-verifier's independent reference for the leftover defect and for alpha.
+7/15-point Gauss-Kronrod quadrature (quad, through _piece_integrals) is
+kept only as the verifier's independent reference for the leftover
+defect and for alpha.
 
 The solver scans a log-uniform kappa0 grid, records every sign change
-of D, polishes each to a root, and returns the smallest root as the
-primary profile. Scan points where positivity or the closed form fails
-are recorded as NaN rows, not fatal errors.
+of D, polishes each to a root by Brent's method (_brentq), and returns
+the smallest root as the primary profile. Scan points where positivity
+or the closed form fails are recorded as NaN rows, not fatal errors.
+
+Both numerical pieces are written here on numpy alone, so numpy is the
+only runtime dependency.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import closedform as cf
 from .errors import NonPositiveKappa0Error, NoSignChangeError, PositivityError
@@ -55,7 +57,7 @@ class SolverConfig:
 
     bracket : (lo, hi) kappa0 search interval, 0 < lo < hi < inf.
     scan_points : log-uniform samples of the defect across the bracket.
-    root_tol : absolute tolerance on kappa0 in the Brent (brentq) polish.
+    root_tol : absolute tolerance on kappa0 in the Brent polish (_brentq).
 
     The defect and alpha both come from the fixed-order table (see
     alpha), which has no tolerance to set.
@@ -152,6 +154,90 @@ ALPHA_PANELS = 64
 # Intervals integrated per vectorised block: keeps each (block, 16)
 # temporary of the integrand near 128 kB however many points are asked.
 _GL_BLOCK = 1024
+
+# The 7-point Gauss / 15-point Kronrod pair of QUADPACK's QK15
+# (Piessens et al., 1983) for quad: Kronrod nodes on [-1, 1] and their
+# weights, and the Gauss weights on the same nodes (0 at the
+# Kronrod-only ones).
+_QK15_X = np.array(
+    [
+        0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
+        0.0,
+    ]
+)
+_QK15_WK = np.array(
+    [
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714,
+    ]
+)
+_QK15_WG = np.array(
+    [
+        0.0,
+        0.129484966168869693270611432679082,
+        0.0,
+        0.279705391489276667901467771423780,
+        0.0,
+        0.381830050505118944950369775488975,
+        0.0,
+        0.417959183673469387755102040816327,
+    ]
+)
+_GK_NODES = np.concatenate([-_QK15_X[:-1], _QK15_X[::-1]])
+_GK_WEIGHTS = np.concatenate([_QK15_WK[:-1], _QK15_WK[::-1]])
+_G7_WEIGHTS = np.concatenate([_QK15_WG[:-1], _QK15_WG[::-1]])
+
+
+def _gauss_kronrod(func, lo, hi):
+    """G7K15 integrals of func over each [lo_k, hi_k] and their QUADPACK error estimates.
+
+    func is called once, on every node of every interval as one array.
+    """
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    f = func(mid[:, None] + half[:, None] * _GK_NODES)
+    resk = np.sum(_GK_WEIGHTS * f, axis=-1)
+    resg = np.sum(_G7_WEIGHTS * f, axis=-1)
+    # QK15's estimate: the Kronrod-Gauss difference, scaled by the
+    # integrand's spread about its mean, and never below roundoff in
+    # the integral of |f|.
+    err = np.abs((resk - resg) * half)
+    asc = np.sum(_GK_WEIGHTS * np.abs(f - 0.5 * resk[:, None]), axis=-1) * np.abs(half)
+    both = (asc != 0.0) & (err != 0.0)
+    err[both] = asc[both] * np.minimum(1.0, (200.0 * err[both] / asc[both]) ** 1.5)
+    resabs = np.sum(_GK_WEIGHTS * np.abs(f), axis=-1) * np.abs(half)
+    return resk * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+
+def quad(func, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+    """Adaptive Gauss-Kronrod integral of func over [a, b]: (value, abserr).
+
+    QUADPACK's globally adaptive scheme with the 7/15-point rule: the
+    subinterval with the largest error estimate is bisected until the
+    summed estimate is at most max(epsabs, epsrel |value|), or until
+    there are ``limit`` subintervals. func takes an array of points and
+    is called once per refinement, on all the new nodes at once.
+    """
+    edges = np.array([a, b], dtype=float)
+    val, err = _gauss_kronrod(func, edges[:-1], edges[1:])
+    while err.sum() > max(epsabs, epsrel * abs(val.sum())) and val.size < limit:
+        k = int(np.argmax(err))
+        edges = np.insert(edges, k + 1, 0.5 * (edges[k] + edges[k + 1]))
+        v, e = _gauss_kronrod(func, edges[k : k + 2], edges[k + 1 : k + 3])
+        val = np.concatenate([val[:k], v, val[k + 1 :]])
+        err = np.concatenate([err[:k], e, err[k + 1 :]])
+    return float(val.sum()), float(err.sum())
 
 
 def _gauss_legendre(lo, hi, params, spec):
@@ -302,6 +388,83 @@ def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
     return float(_alpha_table(params, spec)[1][-1])
 
 
+def _brent_step(xpre, xcur, xblk, fpre, fcur, fblk):
+    """Brent's trial step from xcur: secant if xpre == xblk, else inverse quadratic.
+
+    Taken on np.float64 with warnings off, so a step that overflows at
+    large |f| comes out inf or NaN, fails the acceptance test and
+    bisects, as in C.
+    """
+    fpre, fcur, fblk = np.float64(fpre), np.float64(fcur), np.float64(fblk)
+    with np.errstate(all="ignore"):
+        if xpre == xblk:
+            return float(-fcur * (xcur - xpre) / (fcur - fpre))
+        dpre = (fpre - fcur) / (xpre - xcur)
+        dblk = (fblk - fcur) / (xblk - xcur)
+        return float(-fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+
+    A line-for-line port of SciPy's C brentq (R. P. Brent, Algorithms
+    for Minimization without Derivatives, 1973), with the same iterates
+    and the same f calls: xblk is the contrapoint, spre and scur the
+    last two steps; the trial step (_brent_step) is taken when it is
+    short enough, else the step bisects, and no step is shorter than
+    delta = (xtol + rtol |xcur|) / 2. An exact zero at an end is
+    returned as is.
+
+    Raises ValueError if f(a) and f(b) have the same sign or f returns
+    NaN, and RuntimeError after maxiter iterations.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; Brent's method cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            stry = _brent_step(xpre, xcur, xblk, fpre, fcur, fblk)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations, value is {xcur}")
+
+
 def solve(
     spec: BundleSpec,
     config: SolverConfig = None,
@@ -320,8 +483,9 @@ def solve(
     ValueError
         If the spec fails validation (precondition).
     NoSignChangeError
-        If the defect never changes sign; the error carries the scan
-        table so the bracket can be widened with full information.
+        If the defect never changes sign between neighbouring scan
+        points. The message says so when every finite scan row has one
+        sign, and the error carries the scan table.
     PositivityError
         If the profile at the returned root violates beta_i > 0 or
         alpha > 0 on an interior grid.
@@ -356,10 +520,23 @@ def solve(
         table = "\n".join(
             f"  kappa0 = {g:12.6g}   defect = {d:.6e}" for g, d in zip(grid, defects)
         )
+        finite = defects[~np.isnan(defects)]
+        if finite.size and (np.all(finite > 0.0) or np.all(finite < 0.0)):
+            # A finding about this scan only: nothing is known past the bracket.
+            sign = "positive" if finite[0] > 0.0 else "negative"
+            summary = (
+                f"boundary defect is single-signed ({sign}) over [{lo:g}, {hi:g}]: "
+                f"{finite.size} finite and {defects.size - finite.size} NaN scan rows; "
+                "no root was found in this scan."
+            )
+        else:
+            summary = (
+                "boundary defect has no sign change over bracket "
+                f"({lo:g}, {hi:g}) with {config.scan_points} scan points; "
+                "widen the bracket or flip root_signs."
+            )
         raise NoSignChangeError(
-            "boundary defect has no sign change over bracket "
-            f"({lo:g}, {hi:g}) with {config.scan_points} scan points; "
-            "widen the bracket or flip root_signs. Scan table:\n" + table,
+            summary + " Scan table:\n" + table,
             scan_table=list(zip(grid.tolist(), defects.tolist())),
         )
 
@@ -368,7 +545,7 @@ def solve(
         if a == b:
             roots.append(a)
             continue
-        root = brentq(
+        root = _brentq(
             lambda k0: boundary_defect(k0, spec, root_signs),
             a,
             b,

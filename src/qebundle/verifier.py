@@ -23,8 +23,10 @@ defect, and cross-checks every analytic derivative against central
 differences. alpha' and alpha'' come from the ODE, so the residuals
 cannot see an inaccurate alpha table. The solver's root and alpha both
 come from that table, so the leftover defect is recomputed here by
-adaptive Gauss-Kronrod quadrature (solver._piece_integrals, at fixed
-settings, whatever config the solution file carries), and the table is
+the package's own adaptive 7/15-point Gauss-Kronrod quadrature
+(solver.quad through solver._piece_integrals, with other nodes and
+adaptive refinement, at fixed settings, whatever config the solution
+file carries), and the table is
 compared with the same quadrature at five interior points. Under a
 right blowdown alpha is anchored at s_* past the integrand's sign
 change, so alpha(s_*) = 0 there by construction: that end is checked

@@ -480,6 +480,41 @@ def test_console_script_on_path(spec_file, tmp_path):
     assert "valid" in proc.stdout
 
 
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from qebundle.cli import main
+spec, sol, rep, csv, svg = sys.argv[1:]
+codes = [
+    main(["validate", spec]),
+    main(["solve", spec, "-o", sol]),
+    main(["verify", sol, "-o", rep]),
+    main(["profile", sol, "--csv", csv, "--svg", svg]),
+]
+print("exit codes:", codes)
+sys.exit(max(codes))
+"""
+
+
+def test_cli_runs_without_scipy(spec_file, solution_file, tmp_path):
+    # every command needs numpy only; scipy is a test dependency
+    src_root = str(Path(qebundle.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    out = tmp_path / "no-scipy"
+    out.mkdir()
+    paths = [str(out / name) for name in ("sol.json", "rep.json", "p.csv", "p.svg")]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, spec_file, *paths],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exit codes: [0, 0, 0, 0]" in proc.stdout
+    assert Path(paths[0]).read_bytes() == Path(solution_file).read_bytes()
+
+
 def test_blowdown_solution_through_cli(tmp_path, capsys):
     spec_path = tmp_path / "blow.json"
     spec_path.write_text(json.dumps(BLOW_DOC))

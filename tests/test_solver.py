@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import oracles as orc
 from qebundle import (
@@ -25,6 +26,7 @@ from qebundle import (
     positivity_check,
     solve,
 )
+from qebundle import solver as sv
 from qebundle.closedform import params_from_kappa0
 from qebundle.verifier import chebyshev_grid
 
@@ -222,15 +224,25 @@ def test_solve_is_invariant_under_twisting_sign(ref_profile):
 
 def test_solve_both_blowdown_needs_middle_factor():
     # r = 2 with both ends blown down leaves no free coefficient and the
-    # defect stays negative: no metric in this family
+    # defect stays negative over the whole scan
     spec = BundleSpec(
         factors=(FactorSpec(1, 2, 1), FactorSpec(1, 2, 1)),
         m=2.0,
         left=BLOWDOWN,
         right=BLOWDOWN,
     )
-    with pytest.raises(NoSignChangeError):
+    with pytest.raises(NoSignChangeError) as err:
         solve(spec, config=SolverConfig(scan_points=16))
+    message = str(err.value)
+    # the message reports what the scan saw, with no advice to widen the
+    # bracket and no claim about kappa0 outside it
+    assert message.startswith(
+        "boundary defect is single-signed (negative) over [0.001, 1000]: "
+        "16 finite and 0 NaN scan rows;"
+    )
+    assert "widen" not in message
+    assert message.count("kappa0 = ") == 16
+    assert all(d < 0.0 for _, d in err.value.scan_table)
 
 
 def test_solve_both_blowdown_with_middle_factor():
@@ -435,3 +447,150 @@ def test_alpha_for_non_integer_m():
     p = prof.params
     simpson = orc.oracle_alpha(2.0, orc.REF_FACTORS, 1.5, p.kappa0, nodes=8193)
     assert alpha(2.0, p, spec) == pytest.approx(simpson, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Brent's method and Gauss-Kronrod quadrature against scipy's
+# ---------------------------------------------------------------------------
+
+REFERENCE_SPECS = {
+    "ref": TABLE_SPECS["ref"],
+    "blowdown": TABLE_SPECS["blowdown"],
+    "three-factor": TABLE_SPECS["three-factor"],
+    "right-blowdown": BundleSpec(
+        factors=(FactorSpec(1, 4, 1), FactorSpec(2, 3, 1)), m=3.3, right=BLOWDOWN
+    ),
+    "both-ends": BundleSpec(
+        factors=(FactorSpec(1, 2, 1), FactorSpec(1, 7, 3), FactorSpec(1, 2, 1)),
+        m=4.0,
+        left=BLOWDOWN,
+        right=BLOWDOWN,
+    ),
+}
+
+# (spec, root_signs): the reference specs, a mixed root choice, and the
+# large-m specs whose trial steps overflow
+BRENT_CASES = {
+    **{name: (spec, None) for name, spec in REFERENCE_SPECS.items()},
+    "mixed-signs": (
+        BundleSpec(factors=(FactorSpec(1, 8, 3), FactorSpec(4, 3, 2)), m=4.0),
+        (+1, -1),
+    ),
+    "right-blowdown-m64": (
+        BundleSpec(factors=(FactorSpec(1, 4, 1), FactorSpec(2, 3, 1)), m=64.0, right=BLOWDOWN),
+        None,
+    ),
+    "right-blowdown-m100": (
+        BundleSpec(factors=(FactorSpec(1, 4, 1), FactorSpec(2, 3, 1)), m=100.0, right=BLOWDOWN),
+        None,
+    ),
+    "ref-m100": (BundleSpec(factors=(FactorSpec(2, 3, 1),), m=100.0), None),
+}
+
+
+def _recording(f):
+    """f, and the list of the points it is called at."""
+    points = []
+
+    def wrapped(x):
+        points.append(x)
+        return f(x)
+
+    return wrapped, points
+
+
+@pytest.mark.parametrize("name", sorted(BRENT_CASES))
+def test_brentq_port_repeats_scipy_iterates(name):
+    # the same f calls and the same root bits as scipy's brentq, warning-free
+    spec, root_signs = BRENT_CASES[name]
+    cfg = SolverConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        intervals = solve(spec, root_signs=root_signs).all_sign_changes
+        for a, b in intervals:
+            defect = lambda k0: boundary_defect(k0, spec, root_signs)  # noqa: E731
+            ours, ours_at = _recording(defect)
+            theirs, theirs_at = _recording(defect)
+            root = sv._brentq(ours, a, b, xtol=cfg.root_tol, rtol=4.0 * np.finfo(float).eps)
+            want = brentq(theirs, a, b, xtol=cfg.root_tol, rtol=4.0 * np.finfo(float).eps)
+            assert root == want
+            assert ours_at == theirs_at
+
+
+BRENT_FUNCTIONS = {
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "exp-vs-linear": (lambda x: math.exp(x) - 1e4 * x, 0.0, 1.0),
+    "steep-atan": (lambda x: 1e3 * math.atan(x - 0.7), -1.0, 20.0),
+    "signed-sqrt": (lambda x: math.copysign(math.sqrt(abs(x - 0.1)), x - 0.1), -1.0, 4.0),
+    "x^20": (lambda x: x**20 - 1.0, 0.0, 5.0),
+    "cos-vs-cubic": (lambda x: math.cos(x) - x**3, 0.0, 4.0),
+    # flat to roundoff around its root: both run out of iterations
+    "(x-1)^9": (lambda x: (x - 1.0) ** 9, 0.0, 1.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRENT_FUNCTIONS))
+def test_brentq_port_repeats_scipy_iterates_on_textbook_functions(name):
+    f, a, b = BRENT_FUNCTIONS[name]
+    outcomes = []
+    for solver in (sv._brentq, brentq):
+        g, points = _recording(f)
+        try:
+            outcomes.append((solver(g, a, b, xtol=1e-12, rtol=1e-15), points))
+        except RuntimeError:
+            outcomes.append(("no convergence", points))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_brentq_returns_an_exact_zero_at_an_end():
+    assert sv._brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12, rtol=1e-15) == 1.0
+    assert sv._brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12, rtol=1e-15) == 3.0
+
+
+def test_brentq_rejects_ends_of_one_sign():
+    with pytest.raises(ValueError, match="different signs"):
+        sv._brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12, rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_quad_pieces_match_scipy(name):
+    # each single-signed piece the verifier integrates, over [0, s_*] and
+    # at the five spot points, against scipy's quad at a tighter tolerance
+    spec = REFERENCE_SPECS[name]
+    p = solve(spec).params
+    x0 = np.sqrt(2.0 * p.E) - p.kappa0
+    for s in [p.s_star, *(p.s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9]))]:
+        ends = [0.0] + ([x0] if 0.0 < x0 < s else []) + [s]
+        want = [
+            quad(alpha_integrand, lo, hi, args=(p, spec), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(ends[:-1], ends[1:])
+        ]
+        got = sv._piece_integrals(p, spec, s)
+        assert len(got) == len(want)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_quad_is_exact_for_degree_22_on_one_interval():
+    # the 15-point Kronrod rule integrates polynomials up to degree 22
+    poly = np.polynomial.Polynomial(np.random.default_rng(3).uniform(-1.0, 1.0, 23))
+    a, b = -0.3, 1.7
+    exact = poly.integ()(b) - poly.integ()(a)
+    value, _ = sv.quad(poly, a, b, limit=1)
+    assert value == pytest.approx(exact, rel=1e-14, abs=1e-14)
+
+
+def test_quad_meets_relative_tolerance_on_sqrt():
+    # an endpoint singularity in the derivative: the interval at 0 is
+    # bisected until the summed error estimate meets the tolerance
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.sqrt(x)
+
+    value, abserr = sv.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=50)
+    assert abs(value - 2.0 / 3.0) <= 1e-10 * 2.0 / 3.0
+    assert abserr <= 1e-10 * value
+    # one array call for the first rule, then one per bisection
+    assert calls[0] == (1, 15) and all(shape == (2, 15) for shape in calls[1:])
+    assert len(calls) < 50
