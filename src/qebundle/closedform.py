@@ -38,7 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeDiscriminantError, NonPositiveKappa0Error, SingularVError
+from .errors import (
+    NegativeDiscriminantError,
+    NonPositiveKappa0Error,
+    PositivityError,
+    SingularVError,
+)
 from .spec import BundleSpec, EndpointType
 
 
@@ -296,3 +301,15 @@ def positivity_check(params: SolutionParams, spec: BundleSpec):
         return True, None
     i, j = np.argwhere(bad)[0]
     return False, {"factor": int(i) + 1, "s": ends[j], "value": float(vals[i, j])}
+
+
+def require_positive_beta(params: SolutionParams, spec: BundleSpec):
+    """Raise PositivityError at positivity_check's first offender, if any."""
+    ok, violation = positivity_check(params, spec)
+    if not ok:
+        raise PositivityError(
+            f"beta_{violation['factor']} = {violation['value']:.3e} <= 0 at "
+            f"s = {violation['s']:.6g} (kappa0 = {params.kappa0:.6g})",
+            s=violation["s"],
+            factor=violation["factor"],
+        )

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import closedform as cf
 from . import solver as sv
-from .errors import NonPositiveAlphaError
+from .errors import NonPositiveAlphaError, PositivityError
 from .spec import BundleSpec
 
 # 12-point Gauss-Legendre nodes/weights on [-1, 1]; panel-exact for
@@ -70,6 +70,9 @@ def reconstruct_t(
     NonPositiveAlphaError
         If alpha <= 0 at an interior node (the profile was not
         certified, or params are not at a defect root).
+    PositivityError
+        If some beta_i < 0 beyond roundoff on the grid; carries the
+        factor and s of the first offender.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
@@ -108,19 +111,23 @@ def reconstruct_t(
     dt[1:] = np.sum(_GL_WEIGHTS * scale / np.sqrt(sv.alpha(nodes, params, spec)), axis=1)
     t = np.cumsum(dt)
 
-    beta_mat = cf.beta(s, params, spec).T
-    b_scale = float(np.max(np.abs(beta_mat)))
-    neg = beta_mat < 0.0
-    if np.any(np.abs(beta_mat[neg]) > 1e-12 * max(1.0, b_scale)):
-        raise NonPositiveAlphaError("beta < 0 beyond roundoff on the grid; profile invalid")
-    beta_mat[neg] = 0.0
+    b = cf.beta(s, params, spec)
+    bad = np.argwhere(b < -1e-12 * max(1.0, float(np.max(np.abs(b)))))
+    if bad.size:
+        i, k = bad[0]
+        raise PositivityError(
+            f"beta_{i + 1}({s[k]:.6g}) = {b[i, k]:.3e} < 0 beyond roundoff; profile invalid",
+            s=float(s[k]),
+            factor=int(i) + 1,
+        )
+    b[b < 0.0] = 0.0
 
     v = cf.phi(s, params)
     return MetricProfile(
         s=s,
         t=t,
         f=np.sqrt(a),
-        g=np.sqrt(beta_mat),
+        g=np.sqrt(b.T),
         v=v,
         u=-spec.m * np.log(v),
         total_length_l=float(t[-1]),

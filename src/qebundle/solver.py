@@ -112,10 +112,10 @@ def alpha_integrand(r, params: cf.SolutionParams, spec: BundleSpec):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def _integral_break(params, spec, s):
-    """Interior sign-change point of the integrand on (0, s), if any."""
+def _integral_break(params, spec):
+    """Interior sign-change point of the integrand on (0, s_*), or None."""
     x0 = math.sqrt(2.0 * params.E / -spec.epsilon) - params.kappa0
-    return [x0] if 0.0 < x0 < s else None
+    return x0 if 0.0 < x0 < params.s_star else None
 
 
 # Adaptive quadrature settings of the verifier's reference integrals.
@@ -123,27 +123,29 @@ QUAD_REL_TOL = 1e-10
 QUAD_LIMIT = 200
 
 
-def _piece_integrals(params, spec, s, lo=0.0):
-    """Adaptive-quadrature integrals of the alpha integrand over [lo, s], split at its sign change.
+def _piece_integrals(params, spec, cuts):
+    """Adaptive-quadrature integrals of the alpha integrand over [0, s_*], in pieces.
 
-    The verifier's reference, independent of the Gauss-Legendre table.
-    Each piece is single-signed, so the relative quadrature tolerance is
-    meaningful even when their sum (the defect near a root) cancels to
-    ~0, and the sum of their magnitudes is int_lo^s |integrand| exactly.
-    Returned in order from lo to s.
+    The verifier's reference, independent of the Gauss-Legendre table:
+    [0, s_*] is cut at the points ``cuts`` inside it and at the sign
+    change, so the integral from 0 to a cut, or from a cut to s_*, is a
+    sum of pieces. Each piece is single-signed, so the relative
+    quadrature tolerance is meaningful even when their sum (the defect
+    near a root) cancels to ~0, and the sum of their magnitudes is
+    int_0^{s_*} |integrand| exactly. Returns the ascending piece ends,
+    from 0 to s_*, and the integral over each piece.
     """
-    ends = [lo] + [x0 for x0 in _integral_break(params, spec, s) or [] if x0 > lo] + [s]
-    return [
-        quad(
-            lambda r: alpha_integrand(r, params, spec),
-            lo,
-            hi,
-            epsabs=0.0,
-            epsrel=QUAD_REL_TOL,
-            limit=QUAD_LIMIT,
-        )[0]
+    brk = _integral_break(params, spec)
+    ends = np.array(sorted({0.0, params.s_star, *cuts, *([] if brk is None else [brk])}))
+
+    def integrand(r):
+        return alpha_integrand(r, params, spec)
+
+    pieces = [
+        quad(integrand, lo, hi, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)[0]
         for lo, hi in zip(ends[:-1], ends[1:])
     ]
+    return ends, np.array(pieces)
 
 
 # Fixed-order rule for alpha: 16-point Gauss-Legendre panels, 64 across
@@ -254,11 +256,11 @@ def _gauss_legendre(lo, hi, params, spec):
 def _alpha_table(params, spec):
     """Panel edges on [0, s_*], and the alpha integrand's integral from 0 to each and to s_*."""
     s_star = params.s_star
-    brk = _integral_break(params, spec, s_star)
-    if brk:
+    brk = _integral_break(params, spec)
+    if brk is not None:
         half = ALPHA_PANELS // 2
         edges = np.concatenate(
-            [np.linspace(0.0, brk[0], half + 1), np.linspace(brk[0], s_star, half + 1)[1:]]
+            [np.linspace(0.0, brk, half + 1), np.linspace(brk, s_star, half + 1)[1:]]
         )
     else:
         edges = np.linspace(0.0, s_star, ALPHA_PANELS + 1)
@@ -291,8 +293,8 @@ def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
     inner = (s_arr != 0.0) & ~((s_arr == params.s_star) & right_blowdown)
     r = s_arr[inner]
     k = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
-    brk = _integral_break(params, spec, params.s_star)
-    past = r >= (brk[0] if right_blowdown and brk else np.inf)
+    brk = _integral_break(params, spec)
+    past = r >= (brk if right_blowdown and brk is not None else np.inf)
     lo, hi = np.where(past, r, edges[k]), np.where(past, edges[k + 1], r)
     part = _gauss_legendre(lo, hi, params, spec)
     integral = np.where(past, -(tail[k + 1] + part), cum[k] + part)
@@ -377,14 +379,7 @@ def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
         If kappa0 is too small for a positive left root (also a NaN row).
     """
     params = cf.params_from_kappa0(kappa0, spec, root_signs=root_signs)
-    ok, violation = cf.positivity_check(params, spec)
-    if not ok:
-        raise PositivityError(
-            f"beta_{violation['factor']} = {violation['value']:.3e} <= 0 at "
-            f"s = {violation['s']:.6g} (kappa0 = {kappa0:.6g})",
-            s=violation["s"],
-            factor=violation["factor"],
-        )
+    cf.require_positive_beta(params, spec)
     return float(_alpha_table(params, spec)[1][-1])
 
 

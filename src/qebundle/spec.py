@@ -127,31 +127,26 @@ def validate_spec(spec: BundleSpec) -> list:
     if spec.epsilon != -1.0:
         violations.append(f"epsilon is fixed to -1 by the construction, got {spec.epsilon!r}")
 
-    left_blow = spec.left is EndpointType.BLOWDOWN
-    right_blow = spec.right is EndpointType.BLOWDOWN
+    # The blown-down ends: (side, 1-based index of the factor collapsing
+    # there, the twisting clause's name and its symbol for that n).
+    ends = []
+    if spec.left is EndpointType.BLOWDOWN:
+        ends.append(("left", 1, "left-blowdown clause", "n_1"))
+    if spec.right is EndpointType.BLOWDOWN:
+        ends.append(("right", spec.r, "right-blowdown clause (mirror)", "n_r"))
 
     # Blowdown structural rules: the collapsing factor must be CP^n with
     # the Fubini-Study metric, i.e. p = n + 1, and unit twisting.
-    if left_blow:
-        f1 = spec.factors[0]
-        if f1.p != f1.n + 1:
+    for side, k, _, _ in ends:
+        fac = spec.factors[k - 1]
+        if fac.p != fac.n + 1:
             violations.append(
-                f"left blowdown: factor 1 must satisfy p = n + 1 (CP^n), got p={f1.p}, n={f1.n}"
+                f"{side} blowdown: factor {k} must satisfy p = n + 1 (CP^n), "
+                f"got p={fac.p}, n={fac.n}"
             )
-        if abs(f1.q) != 1:
-            violations.append(f"left blowdown: factor 1 must satisfy |q| = 1, got q={f1.q}")
-    if right_blow:
-        fr = spec.factors[-1]
-        if fr.p != fr.n + 1:
-            violations.append(
-                f"right blowdown: factor {spec.r} must satisfy p = n + 1 (CP^n), "
-                f"got p={fr.p}, n={fr.n}"
-            )
-        if abs(fr.q) != 1:
-            violations.append(
-                f"right blowdown: factor {spec.r} must satisfy |q| = 1, got q={fr.q}"
-            )
-    if left_blow and right_blow and spec.r == 1:
+        if abs(fac.q) != 1:
+            violations.append(f"{side} blowdown: factor {k} must satisfy |q| = 1, got q={fac.q}")
+    if len(ends) == 2 and spec.r == 1:
         violations.append(
             "both-ends blowdown needs r >= 2: a single quadratic beta_1 cannot "
             "vanish at both endpoints (A_1 = 1/(2*kappa0) and A_1 = -1/(2*sigma) conflict)"
@@ -159,35 +154,24 @@ def validate_spec(spec: BundleSpec) -> list:
 
     # Twisting inequalities: exactly the conditions under which every
     # interior-factor beta stays positive on the whole interval.
-    if not left_blow and not right_blow:
+    if not ends:
         for i, fac in enumerate(spec.factors, start=1):
             if fac.q != 0 and not (abs(fac.q) < fac.p):
                 violations.append(
                     f"factor {i}: all-collapse clause needs 0 < |q| < p, "
                     f"got |q|={abs(fac.q)}, p={fac.p}"
                 )
-    # A factor blown down at its own end has its quadratic coefficient
+    # A factor blown down at either end has its quadratic coefficient
     # forced (A_1 = 1/(2 kappa0), A_r = -1/(2 sigma)) and stays positive
-    # automatically, so the opposite end's twisting clause skips it.
-    if left_blow:
-        n1 = spec.factors[0].n
-        for i, fac in enumerate(spec.factors[1:], start=2):
-            if right_blow and i == spec.r:
-                continue
-            if not (abs(fac.q) * (n1 + 1) < fac.p):
+    # automatically, so each end's twisting clause skips every such factor.
+    blown = {k for _, k, _, _ in ends}
+    for _, k, clause, n_sym in ends:
+        nk = spec.factors[k - 1].n
+        for i, fac in enumerate(spec.factors, start=1):
+            if i not in blown and not (abs(fac.q) * (nk + 1) < fac.p):
                 violations.append(
-                    f"factor {i}: left-blowdown clause needs |q|(n_1 + 1) < p, "
-                    f"got {abs(fac.q)}*({n1}+1) = {abs(fac.q) * (n1 + 1)} >= {fac.p}"
-                )
-    if right_blow:
-        nr = spec.factors[-1].n
-        for i, fac in enumerate(spec.factors[:-1], start=1):
-            if left_blow and i == 1:
-                continue
-            if not (abs(fac.q) * (nr + 1) < fac.p):
-                violations.append(
-                    f"factor {i}: right-blowdown clause (mirror) needs |q|(n_r + 1) < p, "
-                    f"got {abs(fac.q)}*({nr}+1) = {abs(fac.q) * (nr + 1)} >= {fac.p}"
+                    f"factor {i}: {clause} needs |q|({n_sym} + 1) < p, "
+                    f"got {abs(fac.q)}*({nk}+1) = {abs(fac.q) * (nk + 1)} >= {fac.p}"
                 )
 
     return violations

@@ -22,16 +22,17 @@ slope -2 at s_* is emergent, never imposed), positivity, the leftover
 defect, and cross-checks every analytic derivative against central
 differences. alpha' and alpha'' come from the ODE, so the residuals
 cannot see an inaccurate alpha table. The solver's root and alpha both
-come from that table, so the leftover defect is recomputed here by
-the package's own adaptive 7/15-point Gauss-Kronrod quadrature
-(solver.quad through solver._piece_integrals, with other nodes and
-adaptive refinement, at fixed settings, whatever config the solution
-file carries), and the table is
-compared with the same quadrature at five interior points. Under a
-right blowdown alpha is anchored at s_* past the integrand's sign
-change, so alpha(s_*) = 0 there by construction: that end is checked
-instead by the leftover defect and by two more spot points, 0.95 s_*
-and 0.99 s_*, against minus the adaptive integral from s to s_*.
+come from that table, so one pass of the package's own adaptive
+7/15-point Gauss-Kronrod quadrature (solver.quad through
+solver._piece_integrals, with other nodes and adaptive refinement, at
+fixed settings, whatever config the solution file carries) recomputes
+the integral over [0, s_*], cut at the spot points and the sign change:
+the sum of the pieces is the leftover defect, and the sums from 0 check
+the table at five interior points. Under a right blowdown alpha is
+anchored at s_* past the sign change, so alpha(s_*) = 0 there by
+construction: that end is checked instead by the leftover defect and
+by two more spot points, 0.95 s_* and 0.99 s_*, against minus the sum
+of the pieces from s to s_*.
 
 A profile is *certified* when every named check passes its tolerance.
 Tolerances are tiered by the weakest numerical ingredient of each
@@ -48,7 +49,6 @@ import numpy as np
 
 from . import closedform as cf
 from . import solver as sv
-from .errors import PositivityError
 from .geometry import reconstruct_t
 from .spec import BundleSpec, EndpointType
 
@@ -227,14 +227,7 @@ def verify(
     # Some beta <= 0 makes log V (hence every residual) undefined on the
     # grid: that profile cannot be measured, only rejected. alpha <= 0,
     # by contrast, is recorded in the report below.
-    beta_ok, beta_violation = cf.positivity_check(params, spec)
-    if not beta_ok:
-        raise PositivityError(
-            f"beta_{beta_violation['factor']} = {beta_violation['value']:.3e} <= 0 "
-            f"at s = {beta_violation['s']:.6g}; residuals undefined",
-            s=beta_violation["s"],
-            factor=beta_violation["factor"],
-        )
+    cf.require_positive_beta(params, spec)
 
     grid = chebyshev_grid(delta, s_star - delta, grid_size)
     sample = sample_at(grid, params, spec)
@@ -296,22 +289,21 @@ def verify(
         )
     )
 
-    # Leftover defect by adaptive quadrature, against its natural scale.
-    pieces = sv._piece_integrals(params, spec, s_star)
-    defect, dscale = sum(pieces), sum(abs(v) for v in pieces)
-
-    # The table alpha against adaptive quadrature at a few interior
-    # points: the integral from 0, and under a right blowdown also minus
-    # the integral to s_* next to that end, where alpha anchors there.
-    spot = s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    spot_int = [sum(sv._piece_integrals(params, spec, s)) for s in spot]
-    if spec.right is EndpointType.BLOWDOWN:
-        tail_spot = s_star * np.array([0.95, 0.99])
-        spot = np.concatenate([spot, tail_spot])
-        spot_int += [-sum(sv._piece_integrals(params, spec, s_star, lo=s)) for s in tail_spot]
-    spot_quad = np.array(spot_int) / (
-        cf.V(spot, params, spec) * (spot + params.kappa0) ** (spec.m - 1.0)
+    # The leftover defect and the table alpha against adaptive
+    # quadrature, from one pass over [0, s_*] cut at the spot points: the
+    # defect is the sum of all pieces, against the sum of their
+    # magnitudes. alpha at five interior points takes the pieces from 0;
+    # under a right blowdown, where alpha anchors at s_*, two more next
+    # to that end take minus the pieces up to s_*.
+    from_end = [0.95, 0.99] if spec.right is EndpointType.BLOWDOWN else []
+    spot = s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9] + from_end)
+    ends, pieces = sv._piece_integrals(params, spec, spot)
+    defect, dscale = pieces.sum(), np.abs(pieces).sum()
+    k = np.searchsorted(ends, spot)
+    spot_int = np.where(
+        spot > 0.9 * s_star, -np.cumsum(pieces[::-1])[::-1][k], np.cumsum(pieces)[k - 1]
     )
+    spot_quad = spot_int / (cf.V(spot, params, spec) * (spot + params.kappa0) ** (spec.m - 1.0))
     spot_worst = float(np.max(np.abs(sv.alpha(spot, params, spec) - spot_quad)))
 
     alpha_max = float(np.max(np.abs(alpha_grid)))

@@ -490,6 +490,9 @@ codes = [
     main(["solve", spec, "-o", sol]),
     main(["verify", sol, "-o", rep]),
     main(["profile", sol, "--csv", csv, "--svg", svg]),
+    main(["reproduce", "no-blowdown-length"]),
+    main(["reproduce", "hall-interval-formula"]),
+    main(["reproduce", "blowdown-consistency"]),
 ]
 print("exit codes:", codes)
 sys.exit(max(codes))
@@ -511,7 +514,7 @@ def test_cli_runs_without_scipy(spec_file, solution_file, tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "exit codes: [0, 0, 0, 0]" in proc.stdout
+    assert "exit codes: [0, 0, 0, 0, 0, 0, 0]" in proc.stdout
     assert Path(paths[0]).read_bytes() == Path(solution_file).read_bytes()
 
 

@@ -1,5 +1,7 @@
 """Arc-length reconstruction t(s) and the t-coordinate spot check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,6 +9,7 @@ from scipy.integrate import quad
 import oracles as orc
 from qebundle import (
     NonPositiveAlphaError,
+    PositivityError,
     SolvedProfile,
     alpha,
     dsdt_consistency,
@@ -94,6 +97,16 @@ def test_reconstruct_rejects_non_root_profile(ref_spec):
     p = params_from_kappa0(2.0, ref_spec)
     with pytest.raises(NonPositiveAlphaError):
         reconstruct_t(p, ref_spec, grid_size=129)
+
+
+def test_reconstruct_names_the_negative_beta(ref_profile, ref_spec):
+    # with n = 2, negating A leaves V and alpha alone but makes beta_1 < 0
+    p = ref_profile.params
+    broken = dataclasses.replace(p, A=tuple(-a for a in p.A))
+    with pytest.raises(PositivityError, match=r"beta_1\(0\) = ") as err:
+        reconstruct_t(broken, ref_spec, grid_size=65)
+    assert err.value.factor == 1
+    assert err.value.s == 0.0
 
 
 def test_t_system_residual_small_on_reference(ref_profile, ref_spec):

@@ -554,20 +554,22 @@ def test_brentq_rejects_ends_of_one_sign():
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
 def test_quad_pieces_match_scipy(name):
-    # each single-signed piece the verifier integrates, over [0, s_*] and
-    # at the five spot points, against scipy's quad at a tighter tolerance
+    # each single-signed piece the verifier integrates, [0, s_*] cut at
+    # the five spot points and at the sign change, against scipy's quad
+    # at a tighter tolerance
     spec = REFERENCE_SPECS[name]
     p = solve(spec).params
     x0 = np.sqrt(2.0 * p.E) - p.kappa0
-    for s in [p.s_star, *(p.s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9]))]:
-        ends = [0.0] + ([x0] if 0.0 < x0 < s else []) + [s]
-        want = [
-            quad(alpha_integrand, lo, hi, args=(p, spec), epsabs=0.0, epsrel=1e-13, limit=200)[0]
-            for lo, hi in zip(ends[:-1], ends[1:])
-        ]
-        got = sv._piece_integrals(p, spec, s)
-        assert len(got) == len(want)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    cuts = p.s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    ends = sorted([0.0, *cuts, *([x0] if 0.0 < x0 < p.s_star else []), p.s_star])
+    want = [
+        quad(alpha_integrand, lo, hi, args=(p, spec), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(ends[:-1], ends[1:])
+    ]
+    got_ends, got = sv._piece_integrals(p, spec, cuts)
+    assert got_ends.tolist() == ends
+    assert len(got) == len(want)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_quad_is_exact_for_degree_22_on_one_interval():

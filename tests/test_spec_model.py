@@ -117,6 +117,26 @@ def test_both_end_blowdown_needs_two_factors():
     assert validate_spec(make([(1, 2, 1), (1, 2, 1)], left=BLOWDOWN, right=BLOWDOWN)) == []
 
 
+def test_right_blowdown_twisting_clause_is_the_whole_list():
+    # the mirror clause, |q|(n_r + 1) < p on every earlier factor
+    out = validate_spec(make([(1, 2, 1), (1, 2, 1)], right=BLOWDOWN))
+    assert out == [
+        "factor 1: right-blowdown clause (mirror) needs |q|(n_r + 1) < p, got 1*(1+1) = 2 >= 2"
+    ]
+
+
+def test_both_ends_violations_in_order():
+    # left structural rules first, then each end's twisting clause on
+    # the one factor blown down at neither end
+    out = validate_spec(make([(1, 3, 2), (1, 2, 1), (2, 3, 1)], left=BLOWDOWN, right=BLOWDOWN))
+    assert out == [
+        "left blowdown: factor 1 must satisfy p = n + 1 (CP^n), got p=3, n=1",
+        "left blowdown: factor 1 must satisfy |q| = 1, got q=2",
+        "factor 2: left-blowdown clause needs |q|(n_1 + 1) < p, got 1*(1+1) = 2 >= 2",
+        "factor 2: right-blowdown clause (mirror) needs |q|(n_r + 1) < p, got 1*(2+1) = 3 >= 2",
+    ]
+
+
 def test_multiple_violations_are_all_reported():
     out = validate_spec(make([(0, 0, 0)], m=1.0))
     assert len(out) >= 4  # n, p, q, and m all fail

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import oracles as orc
 from qebundle import (
@@ -287,3 +288,41 @@ def test_tail_spots_see_a_table_broken_next_to_a_right_blowdown(
     report = verify(right_profile, right_spec, grid_size=65)
     assert not report.checks["alpha_quad_spot"]["passed"]
     assert not report.certified
+
+
+@pytest.mark.parametrize("name", ["ref", "right"])
+def test_verify_integrates_each_piece_once(name, request, monkeypatch):
+    # one pass over [0, s_*], cut at the spot points and at the sign
+    # change, serves the defect and every spot reference
+    spec = request.getfixturevalue(f"{name}_spec")
+    profile = request.getfixturevalue(f"{name}_profile")
+    passes, quad_calls = [], []
+    piece_integrals, solver_quad = solver._piece_integrals, solver.quad
+
+    def recorded_pass(*args):
+        passes.append(piece_integrals(*args))
+        return passes[-1]
+
+    def counted_quad(*args, **kwargs):
+        quad_calls.append(args[1:3])
+        return solver_quad(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_piece_integrals", recorded_pass)
+    monkeypatch.setattr(solver, "quad", counted_quad)
+    assert verify(profile, spec, grid_size=65).certified
+    assert len(passes) == 1
+    ends, pieces = passes[0]
+    assert len(quad_calls) == len(pieces) == len(ends) - 1
+    assert quad_calls == list(zip(ends[:-1], ends[1:]))
+    p = profile.params
+    spots = p.s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    assert np.isin(spots, ends).all()
+    if name == "right":
+        # the tail references next to the blown-down end, minus the
+        # pieces from s to s_*, against scipy's quad over [s, s_*]
+        for s in p.s_star * np.array([0.95, 0.99]):
+            got = -np.sum(pieces[np.searchsorted(ends, s) :])
+            want = -quad(
+                solver.alpha_integrand, s, p.s_star, args=(p, spec), epsabs=0.0, epsrel=1e-13
+            )[0]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
