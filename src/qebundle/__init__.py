@@ -29,12 +29,10 @@ from .closedform import (
 )
 from .errors import (
     NegativeDiscriminantError,
-    NonPositiveAlphaError,
     NonPositiveKappa0Error,
     NoSignChangeError,
     PositivityError,
     QEError,
-    SingularVError,
 )
 from .geometry import MetricProfile, reconstruct_t
 from .solver import (

@@ -23,7 +23,7 @@ from . import closedform as cf
 from . import output as io
 from . import solver as sv
 from . import verifier as vf
-from .errors import NoSignChangeError, NonPositiveAlphaError, PositivityError, QEError
+from .errors import NoSignChangeError, PositivityError, QEError
 from .geometry import reconstruct_t
 from .spec import BundleSpec, EndpointType, FactorSpec, spec_from_dict, validate_spec
 
@@ -140,7 +140,7 @@ def cmd_profile(args) -> int:
     params = profile.params
     try:
         mp = reconstruct_t(params, spec, grid_size=args.grid)
-    except (PositivityError, NonPositiveAlphaError) as err:
+    except PositivityError as err:
         print(f"profile FAILED: {err}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     if args.csv:

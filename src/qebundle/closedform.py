@@ -38,12 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NegativeDiscriminantError,
-    NonPositiveKappa0Error,
-    PositivityError,
-    SingularVError,
-)
+from .errors import NegativeDiscriminantError, NonPositiveKappa0Error, PositivityError
 from .spec import BundleSpec, EndpointType
 
 
@@ -248,17 +243,23 @@ def V(s, params: SolutionParams, spec: BundleSpec):
 
 
 def _positive_beta(s, params, spec):
-    """beta(s), after checking that every beta_i(s) > 0."""
+    """beta(s), after checking that every beta_i(s) > 0 (a NaN is not)."""
     b = beta(s, params, spec)
-    bad = np.any(b.reshape(spec.r, -1) <= 0.0, axis=1)
-    if bad.any():
-        i = int(np.argmax(bad)) + 1
-        raise SingularVError(f"beta_{i} <= 0 at an evaluation point; log V derivatives undefined")
+    flat = b.reshape(spec.r, -1)
+    good = flat > 0.0
+    if np.count_nonzero(good) < good.size:
+        i, k = np.argwhere(~good)[0]
+        s_k, b_k = float(np.ravel(s)[k]), float(flat[i, k])
+        message = f"beta_{i + 1}({s_k:.6g}) = {b_k:.3e} is not positive; log V undefined"
+        raise PositivityError(message, s=s_k, value=b_k, factor=int(i) + 1)
     return b
 
 
 def logV_prime(s, params: SolutionParams, spec: BundleSpec):
-    """(log V)'(s) = sum_i n_i beta_i'/beta_i; requires all beta_i(s) > 0."""
+    """(log V)'(s) = sum_i n_i beta_i'/beta_i; requires all beta_i(s) > 0.
+
+    Raises PositivityError at the first factor and s where it is not.
+    """
     b = _positive_beta(s, params, spec)
     n = factor_constants(spec, np.ndim(s))[0]
     out = np.sum(n * beta_prime(s, params, spec) / b, axis=0)
@@ -296,10 +297,10 @@ def positivity_check(params: SolutionParams, spec: BundleSpec):
         vals[0, 0] = np.inf
     if spec.right is EndpointType.BLOWDOWN:
         vals[-1, 1] = np.inf
-    bad = vals <= 0.0
-    if not np.count_nonzero(bad):
+    good = vals > 0.0  # a NaN is not positive
+    if np.count_nonzero(good) == good.size:
         return True, None
-    i, j = np.argwhere(bad)[0]
+    i, j = np.argwhere(~good)[0]
     return False, {"factor": int(i) + 1, "s": ends[j], "value": float(vals[i, j])}
 
 
@@ -308,8 +309,7 @@ def require_positive_beta(params: SolutionParams, spec: BundleSpec):
     ok, violation = positivity_check(params, spec)
     if not ok:
         raise PositivityError(
-            f"beta_{violation['factor']} = {violation['value']:.3e} <= 0 at "
+            f"beta_{violation['factor']} = {violation['value']:.3e} is not positive at "
             f"s = {violation['s']:.6g} (kappa0 = {params.kappa0:.6g})",
-            s=violation["s"],
-            factor=violation["factor"],
+            **violation,
         )

@@ -1,4 +1,7 @@
-"""Exception types raised by the construction and verification pipeline."""
+"""Exception types raised by the construction and verification pipeline.
+
+Every non-positive alpha or beta_i is a PositivityError, whoever finds it.
+"""
 
 
 class QEError(Exception):
@@ -13,24 +16,18 @@ class NonPositiveKappa0Error(QEError):
     """The large root of the left-end quadratic is not positive."""
 
 
-class SingularVError(QEError):
-    """Some beta_i <= 0 at an evaluation point where V > 0 is required."""
-
-
 class PositivityError(QEError):
-    """A profile violates beta_i > 0 or alpha > 0 on the interior.
+    """A profile violates alpha > 0 or beta_i > 0 where a metric needs it.
 
-    Carries the first offending location when available.
+    Carries the first offender's ``s`` and ``value`` (NaN is not
+    positive), and ``factor``: i for beta_i, None for alpha.
     """
 
-    def __init__(self, message, s=None, factor=None):
+    def __init__(self, message, *, s, value, factor):
         super().__init__(message)
         self.s = s
+        self.value = value
         self.factor = factor
-
-
-class NonPositiveAlphaError(QEError):
-    """alpha <= 0 at an interior node during t-reconstruction."""
 
 
 class NoSignChangeError(QEError):

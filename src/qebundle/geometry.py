@@ -30,7 +30,7 @@ import numpy as np
 
 from . import closedform as cf
 from . import solver as sv
-from .errors import NonPositiveAlphaError, PositivityError
+from .errors import PositivityError
 from .spec import BundleSpec
 
 # 12-point Gauss-Legendre nodes/weights on [-1, 1]; panel-exact for
@@ -67,32 +67,24 @@ def reconstruct_t(
 
     Raises
     ------
-    NonPositiveAlphaError
-        If alpha <= 0 at an interior node (the profile was not
-        certified, or params are not at a defect root).
     PositivityError
-        If some beta_i < 0 beyond roundoff on the grid; carries the
-        factor and s of the first offender.
+        If alpha is not positive at an interior node, or is below
+        -1e-8 max(1, max |alpha|) at s_* (``factor`` None: the profile
+        was not certified, or params are not at a defect root), or if
+        some beta_i < 0 beyond roundoff (``factor`` i). NaN fails each.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     s_star = params.s_star
     s = np.linspace(0.0, s_star, grid_size)
 
+    # alpha(0) = 0 exactly; alpha(s_*) is zero up to solver tolerance,
+    # so it is checked against that tolerance and clamped at 0.
     a = sv.alpha(s, params, spec)
-    a_scale = float(np.max(np.abs(a)))
-    # Endpoint alphas are zero up to solver tolerance; clamp only those.
-    for k in (0, grid_size - 1):
-        if a[k] < 0.0:
-            if abs(a[k]) > 1e-8 * max(1.0, a_scale):
-                raise NonPositiveAlphaError(
-                    f"alpha({s[k]:.6g}) = {a[k]:.3e} < 0 at an endpoint beyond tolerance"
-                )
-            a[k] = 0.0
-    interior_bad = np.where(a[1:-1] <= 0.0)[0]
-    if interior_bad.size:
-        k = int(interior_bad[0]) + 1
-        raise NonPositiveAlphaError(f"alpha({s[k]:.6g}) = {a[k]:.3e} <= 0 at an interior node")
+    sv.require_positive_alpha(s[1:-1], a[1:-1])
+    if not (a[-1] >= -1e-8 * max(1.0, float(np.max(np.abs(a))))):
+        sv.require_positive_alpha(s[-1:], a[-1:])
+    a[-1] = max(a[-1], 0.0)
 
     # One row of 12 Gauss-Legendre nodes per segment [s_{k-1}, s_k]. The
     # end rows substitute r = s_1 w^2 and r = s_* - d w^2 (w in [0, 1],
@@ -112,12 +104,13 @@ def reconstruct_t(
     t = np.cumsum(dt)
 
     b = cf.beta(s, params, spec)
-    bad = np.argwhere(b < -1e-12 * max(1.0, float(np.max(np.abs(b)))))
+    bad = np.argwhere(~(b >= -1e-12 * max(1.0, float(np.max(np.abs(b))))))
     if bad.size:
         i, k = bad[0]
         raise PositivityError(
             f"beta_{i + 1}({s[k]:.6g}) = {b[i, k]:.3e} < 0 beyond roundoff; profile invalid",
             s=float(s[k]),
+            value=float(b[i, k]),
             factor=int(i) + 1,
         )
     b[b < 0.0] = 0.0

@@ -21,7 +21,7 @@ from . import closedform as cf
 from . import solver as sv
 from . import verifier as vf
 from .geometry import MetricProfile
-from .spec import BundleSpec, spec_from_dict, spec_to_dict
+from .spec import BundleSpec, require_valid_spec, spec_from_dict, spec_to_dict
 
 U_CONVENTION = "u = -m*log(v), assuming v = exp(-u/m) (not stated by the construction)"
 
@@ -79,10 +79,18 @@ def solution_to_dict(
 
 
 def solution_from_dict(doc: dict):
-    """Rebuild (spec, SolvedProfile, SolverConfig) from solution JSON."""
+    """Rebuild (spec, SolvedProfile, SolverConfig) from solution JSON.
+
+    Raises ValueError if the spec fails validation or params.A does not
+    hold one coefficient per factor.
+    """
     spec = spec_from_dict(doc["spec"])
+    require_valid_spec(spec)
     config = _from_json(sv.SolverConfig, doc["config"])
-    return spec, _from_json(sv.SolvedProfile, doc), config
+    profile = _from_json(sv.SolvedProfile, doc)
+    if len(profile.params.A) != spec.r:
+        raise ValueError(f"params.A has {len(profile.params.A)} entries; the spec has r = {spec.r}")
+    return spec, profile, config
 
 
 def report_to_dict(report: vf.ResidualReport) -> dict:

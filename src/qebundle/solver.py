@@ -48,7 +48,7 @@ import numpy as np
 
 from . import closedform as cf
 from .errors import NonPositiveKappa0Error, NoSignChangeError, PositivityError
-from .spec import BundleSpec, EndpointType, validate_spec
+from .spec import BundleSpec, EndpointType, require_valid_spec
 
 
 @dataclass(frozen=True)
@@ -302,6 +302,16 @@ def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
     return float(out) if np.ndim(s) == 0 else out
 
 
+def require_positive_alpha(s, a):
+    """Raise PositivityError (factor None) at the first s where alpha a is not > 0; NaN fails."""
+    good = a > 0.0
+    if np.count_nonzero(good) < good.size:
+        k = int(np.argmin(good))
+        s_k, a_k = float(s[k]), float(a[k])
+        message = f"alpha({s_k:.6g}) = {a_k:.3e} is not positive"
+        raise PositivityError(message, s=s_k, value=a_k, factor=None)
+
+
 def alpha_derivatives(s, params: cf.SolutionParams, spec: BundleSpec):
     """(alpha, alpha', alpha'') at s from one evaluation of alpha.
 
@@ -373,7 +383,7 @@ def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
     Raises
     ------
     PositivityError
-        If some beta_i <= 0 on (0, s_*) for this kappa0 (the scan in
+        If some beta_i is not positive on (0, s_*) for this kappa0 (the scan in
         ``solve`` records such points as NaN rather than aborting).
     NonPositiveKappa0Error
         If kappa0 is too small for a positive left root (also a NaN row).
@@ -482,13 +492,11 @@ def solve(
         points. The message says so when every finite scan row has one
         sign, and the error carries the scan table.
     PositivityError
-        If the profile at the returned root violates beta_i > 0 or
-        alpha > 0 on an interior grid.
+        If alpha is not positive (or NaN) at one of 64 interior points
+        of the profile at the returned root.
     """
     config = config or SolverConfig()
-    violations = validate_spec(spec)
-    if violations:
-        raise ValueError("invalid spec: " + "; ".join(violations))
+    require_valid_spec(spec)
 
     lo, hi = config.bracket
     grid = np.geomspace(lo, hi, config.scan_points)
@@ -554,13 +562,7 @@ def solve(
     # boundary_defect has checked the betas here; alpha is checked below.
     defect_at_root = boundary_defect(primary, spec, root_signs)
     s_grid = np.linspace(0.0, params.s_star, 66)[1:-1]
-    a_grid = alpha(s_grid, params, spec)
-    if np.any(a_grid <= 0.0):
-        bad = int(np.argmax(a_grid <= 0.0))
-        raise PositivityError(
-            f"solved profile has alpha({s_grid[bad]:.6g}) = {a_grid[bad]:.3e} <= 0",
-            s=float(s_grid[bad]),
-        )
+    require_positive_alpha(s_grid, alpha(s_grid, params, spec))
 
     return SolvedProfile(
         params=params,

@@ -112,6 +112,9 @@ def validate_spec(spec: BundleSpec) -> list:
         # bool is an int subclass, but True is not a dimension
         return isinstance(x, int) and not isinstance(x, bool)
 
+    # The rules after the type checks read n, p, q as integers: they
+    # skip a factor with non-integer data, and an end blown down on one.
+    typed = set()
     for i, fac in enumerate(spec.factors, start=1):
         if not integer(fac.n) or fac.n < 1:
             violations.append(f"factor {i}: n must be a positive integer, got {fac.n!r}")
@@ -119,6 +122,8 @@ def validate_spec(spec: BundleSpec) -> list:
             violations.append(f"factor {i}: p must be a positive integer, got {fac.p!r}")
         if not integer(fac.q) or fac.q == 0:
             violations.append(f"factor {i}: q must be a nonzero integer, got {fac.q!r}")
+        if integer(fac.n) and integer(fac.p) and integer(fac.q):
+            typed.add(i)
 
     if not math.isfinite(spec.m):
         violations.append(f"m must be finite, got {spec.m!r}")
@@ -137,7 +142,8 @@ def validate_spec(spec: BundleSpec) -> list:
 
     # Blowdown structural rules: the collapsing factor must be CP^n with
     # the Fubini-Study metric, i.e. p = n + 1, and unit twisting.
-    for side, k, _, _ in ends:
+    checked = [end for end in ends if end[1] in typed]
+    for side, k, _, _ in checked:
         fac = spec.factors[k - 1]
         if fac.p != fac.n + 1:
             violations.append(
@@ -156,7 +162,7 @@ def validate_spec(spec: BundleSpec) -> list:
     # interior-factor beta stays positive on the whole interval.
     if not ends:
         for i, fac in enumerate(spec.factors, start=1):
-            if fac.q != 0 and not (abs(fac.q) < fac.p):
+            if i in typed and fac.q != 0 and not (abs(fac.q) < fac.p):
                 violations.append(
                     f"factor {i}: all-collapse clause needs 0 < |q| < p, "
                     f"got |q|={abs(fac.q)}, p={fac.p}"
@@ -165,16 +171,23 @@ def validate_spec(spec: BundleSpec) -> list:
     # forced (A_1 = 1/(2 kappa0), A_r = -1/(2 sigma)) and stays positive
     # automatically, so each end's twisting clause skips every such factor.
     blown = {k for _, k, _, _ in ends}
-    for _, k, clause, n_sym in ends:
+    for _, k, clause, n_sym in checked:
         nk = spec.factors[k - 1].n
         for i, fac in enumerate(spec.factors, start=1):
-            if i not in blown and not (abs(fac.q) * (nk + 1) < fac.p):
+            if i in typed and i not in blown and not (abs(fac.q) * (nk + 1) < fac.p):
                 violations.append(
                     f"factor {i}: {clause} needs |q|({n_sym} + 1) < p, "
                     f"got {abs(fac.q)}*({nk}+1) = {abs(fac.q) * (nk + 1)} >= {fac.p}"
                 )
 
     return violations
+
+
+def require_valid_spec(spec: BundleSpec):
+    """Raise ValueError("invalid spec: ...") listing validate_spec's violations, if any."""
+    violations = validate_spec(spec)
+    if violations:
+        raise ValueError("invalid spec: " + "; ".join(violations))
 
 
 # ---------------------------------------------------------------------------

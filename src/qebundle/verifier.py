@@ -49,6 +49,7 @@ import numpy as np
 
 from . import closedform as cf
 from . import solver as sv
+from .errors import PositivityError
 from .geometry import reconstruct_t
 from .spec import BundleSpec, EndpointType
 
@@ -224,9 +225,9 @@ def verify(
     s_star = params.s_star
     delta = delta_frac * s_star
 
-    # Some beta <= 0 makes log V (hence every residual) undefined on the
-    # grid: that profile cannot be measured, only rejected. alpha <= 0,
-    # by contrast, is recorded in the report below.
+    # A beta that is not positive makes log V (hence every residual) undefined
+    # on the grid: that profile cannot be measured, only rejected. An alpha
+    # that is not positive, by contrast, is recorded in the report below.
     cf.require_positive_beta(params, spec)
 
     grid = chebyshev_grid(delta, s_star - delta, grid_size)
@@ -265,10 +266,11 @@ def verify(
     # Positivity of alpha on the grid (betas were vetted above).
     positivity_ok, violation = True, None
     alpha_grid = sample.alpha
-    if np.any(alpha_grid <= 0.0):
-        bad = int(np.argmax(alpha_grid <= 0.0))
+    try:
+        sv.require_positive_alpha(grid, alpha_grid)
+    except PositivityError as err:
         positivity_ok = False
-        violation = {"factor": None, "s": float(grid[bad]), "value": float(alpha_grid[bad])}
+        violation = {"factor": err.factor, "s": err.s, "value": err.value}
 
     # Finite-difference cross-checks at h = 1e-6 s_*: rows -h, 0, +h at 10 interior points.
     h = 1e-6 * s_star

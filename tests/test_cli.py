@@ -224,6 +224,15 @@ def test_cli_validate_null_m(tmp_path, capsys):
     assert "'m' must be a number" in capsys.readouterr().err
 
 
+def test_cli_validate_string_dimension(tmp_path, capsys):
+    # a non-integer n is a violation, not a TypeError in a later rule
+    path = tmp_path / "string_n.json"
+    factors = [{"n": "1", "p": 2, "q": 1}, {"n": 1, "p": 3, "q": 1}]
+    path.write_text(json.dumps(dict(REF_DOC, factors=factors, left="blowdown")))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "violation: factor 1: n must be a positive integer, got '1'\n"
+
+
 def test_cli_missing_file_is_internal_error(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
@@ -300,6 +309,18 @@ def test_cli_solve_invalid_spec_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(REF_DOC, m=0.5)))
     assert main(["solve", str(path), "-o", str(tmp_path / "o.json")]) == 2
+
+
+def test_cli_solve_alpha_guard(tmp_path, spec_file, capsys, monkeypatch):
+    # the scan and the polish read the table, not solver.alpha, so a
+    # broken alpha reaches only the positivity check at the root
+    alpha = qebundle.solver.alpha
+    monkeypatch.setattr(qebundle.solver, "alpha", lambda s, p, spec: -alpha(s, p, spec))
+    out = tmp_path / "sol.json"
+    assert main(["solve", spec_file, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "positivity failure at the root" in err and "alpha(" in err
+    assert not out.exists()
 
 
 def test_cli_solve_bracket_flag(tmp_path, spec_file):
@@ -387,6 +408,53 @@ def test_cli_profile_nonpositive_beta_is_not_certified(solution_file, tmp_path, 
     assert code == 4
     assert "profile FAILED" in capsys.readouterr().err
     assert not csv_path.exists() and not svg_path.exists()
+
+
+def _edited_solution(solution_file, tmp_path, edit):
+    doc = load_json(solution_file)
+    edit(doc)
+    path = tmp_path / "edited.json"
+    dump_json(doc, str(path))
+    return str(path)
+
+
+def test_cli_nan_sstar_is_a_positivity_failure(solution_file, tmp_path, capsys):
+    # NaN is not positive: profile writes nothing, verify is not certified
+    path = _edited_solution(
+        solution_file, tmp_path, lambda doc: doc["params"].update(s_star=float("nan"))
+    )
+    csv_path, svg_path = tmp_path / "p.csv", tmp_path / "p.svg"
+    assert main(["profile", path, "--csv", str(csv_path), "--svg", str(svg_path)]) == 4
+    assert "profile FAILED: alpha(" in capsys.readouterr().err
+    assert not csv_path.exists() and not svg_path.exists()
+    assert main(["verify", path, "--grid", "64"]) == 4
+    assert "certification FAILED: beta_1 = nan is not positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["spec"].update(m=0.5), "invalid spec: m must exceed 1"),
+        (
+            lambda doc: doc["params"].update(A=2 * doc["params"]["A"]),
+            "params.A has 2 entries; the spec has r = 1",
+        ),
+        (
+            lambda doc: doc["spec"]["factors"][0].update(n="2"),
+            "invalid spec: factor 1: n must be a positive integer",
+        ),
+    ],
+    ids=["m=0.5", "doubled-A", "string-n"],
+)
+def test_cli_solution_spec_is_validated_on_read(solution_file, tmp_path, capsys, edit, message):
+    path = _edited_solution(solution_file, tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        solution_from_dict(load_json(path))
+    csv_path = tmp_path / "p.csv"
+    assert main(["profile", path, "--csv", str(csv_path)]) == 2
+    assert not csv_path.exists()
+    assert main(["verify", path, "--grid", "64"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_profile_does_not_run_the_certification(solution_file, tmp_path, monkeypatch):

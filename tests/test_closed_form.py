@@ -12,7 +12,7 @@ from qebundle import (
     FactorSpec,
     NegativeDiscriminantError,
     NonPositiveKappa0Error,
-    SingularVError,
+    PositivityError,
     beta,
     beta_prime,
     beta_second,
@@ -278,8 +278,9 @@ def test_V_rejects_nonpositive_beta(ref_profile, ref_spec):
     # end; log V is undefined beyond it
     p = ref_profile.params
     x0 = 1.0 / (2.0 * abs(p.A[0]))
-    with pytest.raises(SingularVError):
+    with pytest.raises(PositivityError) as err:
         logV_prime(x0 - p.kappa0 + 1.0, p, ref_spec)
+    assert err.value.factor == 1
 
 
 def test_ansatz_identity_holds_pointwise(ref_profile, ref_spec):

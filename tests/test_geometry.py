@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 import oracles as orc
 from qebundle import (
-    NonPositiveAlphaError,
     PositivityError,
     SolvedProfile,
     alpha,
@@ -95,8 +94,25 @@ def test_reconstruct_rejects_non_root_profile(ref_spec):
     # away from the root, alpha(s_*) != 0 and alpha goes negative
     # before the right end: no metric, loud failure
     p = params_from_kappa0(2.0, ref_spec)
-    with pytest.raises(NonPositiveAlphaError):
+    with pytest.raises(PositivityError) as err:
         reconstruct_t(p, ref_spec, grid_size=129)
+    assert err.value.factor is None  # alpha, not a beta
+
+
+def test_reconstruct_checks_alpha_at_sstar_against_the_tolerance(ref_profile, ref_spec):
+    # just below the root alpha(s_*) < 0 while the interior stays
+    # positive: within 1e-8 max(1, max |alpha|) it is clamped to 0,
+    # beyond it the endpoint itself is the offender
+    k0 = ref_profile.params.kappa0
+    near = params_from_kappa0(k0 * (1.0 - 1e-9), ref_spec)
+    assert alpha(near.s_star, near, ref_spec) < 0.0
+    assert reconstruct_t(near, ref_spec, grid_size=129).f[-1] == 0.0
+    p = params_from_kappa0(k0 * (1.0 - 1e-6), ref_spec)
+    with pytest.raises(PositivityError) as err:
+        reconstruct_t(p, ref_spec, grid_size=129)
+    assert err.value.factor is None
+    assert err.value.s == p.s_star
+    assert err.value.value < -1e-8
 
 
 def test_reconstruct_names_the_negative_beta(ref_profile, ref_spec):
@@ -107,6 +123,7 @@ def test_reconstruct_names_the_negative_beta(ref_profile, ref_spec):
         reconstruct_t(broken, ref_spec, grid_size=65)
     assert err.value.factor == 1
     assert err.value.s == 0.0
+    assert err.value.value < 0.0
 
 
 def test_t_system_residual_small_on_reference(ref_profile, ref_spec):

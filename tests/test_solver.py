@@ -1,5 +1,6 @@
 """Quadrature layer and defect root-find, against independent numerics."""
 
+import dataclasses
 import math
 import warnings
 
@@ -135,6 +136,23 @@ def test_defect_positivity_guard_fires_on_invalid_spec():
     )
     with pytest.raises(PositivityError):
         boundary_defect(300.0, spec)
+
+
+def test_alpha_positivity_rule_fails_nan():
+    # one rule for alpha: the first point where not (alpha > 0)
+    s = np.array([1.0, 2.0, 3.0])
+    sv.require_positive_alpha(s, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(PositivityError) as err:
+        sv.require_positive_alpha(s, np.array([1.0, np.nan, -1.0]))
+    assert err.value.factor is None
+    assert err.value.s == 2.0 and math.isnan(err.value.value)
+
+
+def test_beta_positivity_check_fails_nan(ref_profile, ref_spec):
+    p = ref_profile.params
+    ok, violation = positivity_check(dataclasses.replace(p, s_star=math.nan), ref_spec)
+    assert not ok
+    assert violation["factor"] == 1 and math.isnan(violation["value"])
 
 
 # ---------------------------------------------------------------------------

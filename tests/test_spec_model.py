@@ -83,6 +83,47 @@ def test_non_integer_dimension_is_rejected():
     assert any("n must be" in v for v in out)
 
 
+@pytest.mark.parametrize(
+    "doc, expected",
+    [
+        (
+            {"factors": [{"n": "1", "p": 2, "q": 1}, {"n": 1, "p": 3, "q": 1}], "m": 2.0,
+             "left": "blowdown"},
+            ["factor 1: n must be a positive integer, got '1'"],
+        ),
+        (
+            {"factors": [{"n": 1, "p": "3", "q": 1}], "m": 2.0},
+            ["factor 1: p must be a positive integer, got '3'"],
+        ),
+        (
+            {"factors": [{"n": 1, "p": 3, "q": None}], "m": 2.0},
+            ["factor 1: q must be a nonzero integer, got None"],
+        ),
+        # the blown-down factor is skipped, yet factor 2 is not read
+        # under the all-collapse clause (|q| = 2 = p would fail it)
+        (
+            {"factors": [{"n": 1.0, "p": 2, "q": 1}, {"n": 1, "p": 2, "q": 2}], "m": 2.0,
+             "left": "blowdown"},
+            ["factor 1: n must be a positive integer, got 1.0"],
+        ),
+        # a skipped factor leaves the other factors' rules in place
+        (
+            {"factors": [{"n": 1, "p": "3", "q": 1}, {"n": 1, "p": 2, "q": 1},
+                         {"n": 1, "p": 2, "q": 1}], "m": 2.0, "right": "blowdown"},
+            [
+                "factor 1: p must be a positive integer, got '3'",
+                "factor 2: right-blowdown clause (mirror) needs |q|(n_r + 1) < p, "
+                "got 1*(1+1) = 2 >= 2",
+            ],
+        ),
+    ],
+    ids=["string-n-blowdown", "string-p", "null-q", "float-n-blowdown", "string-p-right"],
+)
+def test_non_integer_factor_data_is_reported_not_raised(doc, expected):
+    # the rules after the type checks skip a factor whose data failed them
+    assert validate_spec(spec_from_dict(doc)) == expected
+
+
 def test_zero_twisting_is_rejected():
     out = validate_spec(make([(2, 3, 0)]))
     assert any("q must be" in v for v in out)

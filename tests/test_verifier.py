@@ -216,6 +216,18 @@ def test_wrong_root_profile_fails_positivity(ref_profile, ref_spec):
     assert report.positivity_violation["factor"] is None  # alpha, not a beta
 
 
+def test_nan_alpha_fails_positivity(ref_profile, ref_spec, monkeypatch):
+    # NaN is not positive: the first grid point is recorded as the offender
+    alpha = solver.alpha
+    monkeypatch.setattr(solver, "alpha", lambda s, p, spec: alpha(s, p, spec) * np.nan)
+    report = verify(ref_profile, ref_spec, grid_size=64)
+    assert not report.positivity_ok
+    assert not report.checks["positivity"]["passed"]
+    assert report.positivity_violation["factor"] is None
+    assert report.positivity_violation["s"] == report.grid[0]
+    assert np.isnan(report.positivity_violation["value"])
+
+
 def test_broken_beta_raises_positivity_error(ref_profile, ref_spec):
     p = ref_profile.params
     broken = SolutionParams(
