@@ -32,6 +32,7 @@ and the log V derivatives reduce over it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -74,27 +75,46 @@ class SolutionParams:
     A: tuple
 
 
-def endpoint_quadratic_roots(E: float, n_end: int) -> QuadraticRoots:
+def _scalar_or_array(x):
+    """x as a float if it is a scalar, else the array itself."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _first(mask):
+    """Flat index of the first true entry of a boolean scalar or array, or None."""
+    return int(np.argmax(mask)) if np.count_nonzero(mask) else None
+
+
+def endpoint_quadratic_roots(E, n_end: int) -> QuadraticRoots:
     """Solve the endpoint quadratic (1/2)x^2 + 2(n_end+1)x - E = 0.
+
+    E may be an array (a kappa0 axis): the roots then have its shape.
 
     Raises
     ------
     NegativeDiscriminantError
-        If 4(n_end+1)^2 + 2E < 0 (no real roots).
+        If 4(n_end+1)^2 + 2E < 0 (no real roots), at the first such E.
     """
     b = 2.0 * (n_end + 1)
-    disc = b * b + 2.0 * E
-    if disc < 0.0:
+    disc = b * b + 2.0 * np.asarray(E, dtype=float)
+    k = _first(disc < 0.0)
+    if k is not None:
         raise NegativeDiscriminantError(
-            f"endpoint quadratic has negative discriminant {disc} (E={E}, n_end={n_end})"
+            f"endpoint quadratic has negative discriminant {float(np.ravel(disc)[k])} "
+            f"(E={float(np.ravel(E)[k])}, n_end={n_end})"
         )
-    root = math.sqrt(disc)
-    return QuadraticRoots(small=-b - root, large=-b + root)
+    root = np.sqrt(disc)
+    return QuadraticRoots(small=_scalar_or_array(-b - root), large=_scalar_or_array(-b + root))
 
 
-def energy_from_kappa0(kappa0: float, n_left: int) -> float:
+def energy_from_kappa0(kappa0, n_left: int):
     """Invert the left-end quadratic: E = (1/2)kappa0^2 + 2(n_left+1)kappa0."""
     return 0.5 * kappa0 * kappa0 + 2.0 * (n_left + 1) * kappa0
+
+
+def _left_root_error(kappa0, E):
+    """The error for a large left root kappa0 <= 0 at this E."""
+    return NonPositiveKappa0Error(f"large left root {float(kappa0)} <= 0 (E={float(E)})")
 
 
 def kappa0_and_sstar(E: float, spec: BundleSpec) -> tuple:
@@ -113,14 +133,16 @@ def kappa0_and_sstar(E: float, spec: BundleSpec) -> tuple:
     """
     kappa0 = endpoint_quadratic_roots(E, spec.n_left).large
     if kappa0 <= 0.0:
-        raise NonPositiveKappa0Error(f"large left root {kappa0} <= 0 (E={E})")
-    sigma = -endpoint_quadratic_roots(E, spec.n_right).small
-    return kappa0, sigma - kappa0
+        raise _left_root_error(kappa0, E)
+    return kappa0, _interval_length(E, kappa0, spec)
 
 
-def coefficients_A(
-    E: float, kappa0: float, s_star: float, spec: BundleSpec, root_signs=None
-) -> tuple:
+def _interval_length(E, kappa0, spec):
+    """s_* = -(small root of the right-end quadratic) - kappa0."""
+    return -endpoint_quadratic_roots(E, spec.n_right).small - kappa0
+
+
+def coefficients_A(E, kappa0, s_star, spec: BundleSpec, root_signs=None) -> tuple:
     """Quadratic coefficients A_i for every factor.
 
     Blowdown factors are forced: A_1 = 1/(2 kappa0) at a left blowdown,
@@ -136,7 +158,8 @@ def coefficients_A(
     Mixed choices can solve too, e.g. (+, -) for (1,8,3) + (4,3,2) at
     m = 4, but none with every free factor on the positive root.
     ``root_signs`` overrides the choice per factor with entries +1/-1;
-    entries for blowdown factors are ignored.
+    entries for blowdown factors are ignored. E, kappa0 and s_star may
+    be arrays of one shape (a kappa0 axis); each A_i then has it too.
     """
     if root_signs is None:
         root_signs = (-1,) * spec.r
@@ -152,13 +175,14 @@ def coefficients_A(
             A.append(-1.0 / (2.0 * sigma))
         else:
             disc = fac.p * fac.p - 0.5 * eps * E * fac.q * fac.q
-            if disc < 0.0:
+            k = _first(disc < 0.0)
+            if k is not None:
                 raise NegativeDiscriminantError(
-                    f"factor {i + 1}: A-quadratic discriminant {disc} < 0"
+                    f"factor {i + 1}: A-quadratic discriminant {float(np.ravel(disc)[k])} < 0"
                 )
             sign = 1.0 if root_signs[i] >= 0 else -1.0
-            A.append((fac.p + sign * math.sqrt(disc)) / (2.0 * E))
-    return tuple(A)
+            A.append((fac.p + sign * np.sqrt(disc)) / (2.0 * E))
+    return tuple(_scalar_or_array(a) for a in A)
 
 
 def params_from_kappa0(
@@ -170,6 +194,50 @@ def params_from_kappa0(
     A = coefficients_A(E, kappa0, s_star, spec, root_signs=root_signs)
     return SolutionParams(
         kappa0=kappa0, kappa1=kappa1, E=E, mu=E * kappa1 * kappa1, s_star=s_star, A=A
+    )
+
+
+def rows_from_kappa0(kappa0, spec: BundleSpec, root_signs=None):
+    """params_from_kappa0 at every kappa0 of a 1-D array, as kappa0 rows.
+
+    Returns (params, live, errors). params is a SolutionParams with
+    kappa1 = 1 whose other fields are (K, 1) columns, one row for each
+    kappa0[live]: the values params_from_kappa0 gives there, bit for
+    bit. errors has one entry per kappa0: None for a row in live, else
+    the NonPositiveKappa0Error that params_from_kappa0 raises there.
+    """
+    kappa0 = np.asarray(kappa0, dtype=float)
+    E = energy_from_kappa0(kappa0, spec.n_left)
+    left = endpoint_quadratic_roots(E, spec.n_left).large
+    errors, live = [None] * kappa0.size, np.arange(kappa0.size)
+    failed = left <= 0.0
+    if np.count_nonzero(failed):
+        for k in np.flatnonzero(failed):
+            errors[k] = _left_root_error(left[k], E[k])
+        live = np.flatnonzero(~failed)
+        kappa0, E, left = kappa0[live], E[live], left[live]
+    s_star = _interval_length(E, left, spec)
+    A = coefficients_A(E, kappa0, s_star, spec, root_signs=root_signs)
+    params = SolutionParams(
+        kappa0=kappa0[:, None],
+        kappa1=1.0,
+        E=E[:, None],
+        mu=E[:, None],
+        s_star=s_star[:, None],
+        A=tuple(a[:, None] for a in A),
+    )
+    return params, live, errors
+
+
+def take_rows(params: SolutionParams, rows) -> SolutionParams:
+    """The kappa0 rows of params (see rows_from_kappa0) at index ``rows``."""
+    return dataclasses.replace(
+        params,
+        kappa0=params.kappa0[rows],
+        E=params.E[rows],
+        mu=params.mu[rows],
+        s_star=params.s_star[rows],
+        A=tuple(a[rows] for a in params.A),
     )
 
 
@@ -190,21 +258,17 @@ def factor_constants(spec: BundleSpec, ndim: int = 0):
     return _factor_table(spec.factors, ndim)
 
 
-@functools.lru_cache(maxsize=16)
-def _beta_coefficients(A, factors):
-    """A_i and q_i^2/(4 A_i), shape (r,); cached, as beta is asked at many s per A."""
-    a, q = np.array(A), _factor_table(factors, 0)[2]
-    c = q * q / (4.0 * a)
-    a.flags.writeable = c.flags.writeable = False
-    return a, c
-
-
 def _coefficients(s, params: SolutionParams, spec: BundleSpec):
-    """s + kappa0, with A_i and q_i^2/(4 A_i) as columns broadcasting against it."""
+    """s + kappa0, with A_i and q_i^2/(4 A_i) on a leading factor axis broadcasting against it.
+
+    For kappa0 rows (see rows_from_kappa0) the A_i are (K, 1) columns,
+    and s has one row per kappa0 or broadcasts against them.
+    """
     x = np.asarray(s, dtype=float) + params.kappa0
-    a, c = _beta_coefficients(params.A, spec.factors)
-    shape = a.shape + (1,) * x.ndim
-    return x, a.reshape(shape), c.reshape(shape)
+    a = np.array(params.A, dtype=float)
+    a = a.reshape(a.shape + (1,) * (x.ndim + 1 - a.ndim))
+    q = factor_constants(spec, a.ndim - 1)[2]
+    return x, a, q * q / (4.0 * a)
 
 
 def beta(s, params: SolutionParams, spec: BundleSpec):
@@ -275,14 +339,44 @@ def logV_second(s, params: SolutionParams, spec: BundleSpec):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def positivity_check(params: SolutionParams, spec: BundleSpec):
-    """Exact positivity of every beta_i on (0, s_*).
+def beta_errors(params: SolutionParams, spec: BundleSpec) -> list:
+    """The PositivityError of each kappa0 row of params, or None where it has none.
 
-    Each beta_i is A_i x^2 - c with vertex at x = 0, which lies outside
-    [kappa0, kappa0 + s_*] since kappa0 > 0; beta_i is therefore
-    monotone on the interval and positivity reduces to its values at
-    the two ends (blowdown factors are required to vanish at their own
-    end and checked on the open side only).
+    params holds kappa0 rows (see rows_from_kappa0), or is one profile,
+    a single row. Each beta_i is A_i x^2 - c with vertex at x = 0,
+    which lies outside [kappa0, kappa0 + s_*] since kappa0 > 0; beta_i
+    is therefore monotone on the interval and positivity on (0, s_*)
+    reduces to its values at the two ends (blowdown factors are
+    required to vanish at their own end and checked on the open side
+    only). A row fails at its first factor and end where
+    not (beta > 0), so a NaN fails.
+    """
+    s_star = np.reshape(params.s_star, (-1, 1))
+    ends = np.concatenate([np.zeros_like(s_star), s_star], axis=1)
+    vals = beta(ends, params, spec)  # (r, K, 2): each factor at both ends of each row
+    if spec.left is EndpointType.BLOWDOWN:
+        vals[0, :, 0] = np.inf
+    if spec.right is EndpointType.BLOWDOWN:
+        vals[-1, :, 1] = np.inf
+    good = vals > 0.0
+    errors = [None] * ends.shape[0]
+    if np.count_nonzero(good) == good.size:
+        return errors
+    for k in np.flatnonzero(~good.all(axis=(0, 2))):
+        i, j = np.argwhere(~good[:, k])[0]
+        s, value = float(ends[k, j]), float(vals[i, k, j])
+        kappa0 = float(np.reshape(params.kappa0, -1)[k])
+        errors[k] = PositivityError(
+            f"beta_{i + 1} = {value:.3e} is not positive at s = {s:.6g} (kappa0 = {kappa0:.6g})",
+            factor=int(i) + 1,
+            s=s,
+            value=value,
+        )
+    return errors
+
+
+def positivity_check(params: SolutionParams, spec: BundleSpec):
+    """Exact positivity of every beta_i on (0, s_*), by beta_errors' rule.
 
     Returns
     -------
@@ -291,25 +385,14 @@ def positivity_check(params: SolutionParams, spec: BundleSpec):
         violation is None or a dict {"factor": i (1-based), "s": endpoint,
         "value": beta} for the first offender.
     """
-    ends = (0.0, params.s_star)
-    vals = beta(ends, params, spec)  # (r, 2): each factor at both ends
-    if spec.left is EndpointType.BLOWDOWN:
-        vals[0, 0] = np.inf
-    if spec.right is EndpointType.BLOWDOWN:
-        vals[-1, 1] = np.inf
-    good = vals > 0.0  # a NaN is not positive
-    if np.count_nonzero(good) == good.size:
+    error = beta_errors(params, spec)[0]
+    if error is None:
         return True, None
-    i, j = np.argwhere(~good)[0]
-    return False, {"factor": int(i) + 1, "s": ends[j], "value": float(vals[i, j])}
+    return False, {"factor": error.factor, "s": error.s, "value": error.value}
 
 
 def require_positive_beta(params: SolutionParams, spec: BundleSpec):
-    """Raise PositivityError at positivity_check's first offender, if any."""
-    ok, violation = positivity_check(params, spec)
-    if not ok:
-        raise PositivityError(
-            f"beta_{violation['factor']} = {violation['value']:.3e} is not positive at "
-            f"s = {violation['s']:.6g} (kappa0 = {params.kappa0:.6g})",
-            **violation,
-        )
+    """Raise the PositivityError of positivity_check's first offender, if any."""
+    error = beta_errors(params, spec)[0]
+    if error is not None:
+        raise error

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 
 import numpy as np
@@ -78,19 +79,48 @@ def solution_to_dict(
     }
 
 
+def _real(name, value):
+    """value as a float, if it is a real number: an int or a float, not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"params.{name} must be a real number, got {value!r}")
+
+
+def _checked_params(params: cf.SolutionParams) -> cf.SolutionParams:
+    """params with every entry a float, after checking that each is a real number.
+
+    kappa1 must also be finite and positive: nothing downstream checks
+    its sign (every residual is invariant under it) and it scales phi.
+    A NaN or an infinity elsewhere is left to the positivity checks.
+    """
+    if not isinstance(params.A, tuple):
+        raise ValueError(f"params.A must be a list, got {params.A!r}")
+    names = ("kappa0", "kappa1", "E", "mu", "s_star")
+    values = {name: _real(name, getattr(params, name)) for name in names}
+    A = tuple(_real(f"A[{i}]", a) for i, a in enumerate(params.A))
+    if not (0.0 < values["kappa1"] < math.inf):
+        raise ValueError(f"params.kappa1 must be finite and positive, got {values['kappa1']!r}")
+    return dataclasses.replace(params, **values, A=A)
+
+
 def solution_from_dict(doc: dict):
     """Rebuild (spec, SolvedProfile, SolverConfig) from solution JSON.
 
-    Raises ValueError if the spec fails validation or params.A does not
-    hold one coefficient per factor.
+    Raises ValueError if the spec fails validation, a params entry is
+    not a real number, kappa1 is not finite and positive, or params.A
+    does not hold one coefficient per factor.
     """
     spec = spec_from_dict(doc["spec"])
     require_valid_spec(spec)
     config = _from_json(sv.SolverConfig, doc["config"])
     profile = _from_json(sv.SolvedProfile, doc)
-    if len(profile.params.A) != spec.r:
-        raise ValueError(f"params.A has {len(profile.params.A)} entries; the spec has r = {spec.r}")
-    return spec, profile, config
+    params = _checked_params(profile.params)
+    if len(params.A) != spec.r:
+        raise ValueError(f"params.A has {len(params.A)} entries; the spec has r = {spec.r}")
+    return spec, dataclasses.replace(profile, params=params), config
 
 
 def report_to_dict(report: vf.ResidualReport) -> dict:

@@ -32,8 +32,14 @@ defect and for alpha.
 
 The solver scans a log-uniform kappa0 grid, records every sign change
 of D, polishes each to a root by Brent's method (_brentq), and returns
-the smallest root as the primary profile. Scan points where positivity
-or the closed form fails are recorded as NaN rows, not fatal errors.
+the smallest root as the primary profile. The scan is one array call
+(_defects): the closed forms, the beta check and the table carry a
+leading kappa0 axis, and every row that passes the checks is
+integrated in the same blocks of _GL_BLOCK panels. Brent's method
+calls the scalar boundary_defect, the one-row case of that code, so
+each scan row equals the scalar defect bit for bit. Scan points where
+positivity or the closed form fails are recorded as NaN rows, not
+fatal errors.
 
 Both numerical pieces are written here on numpy alone, so numpy is the
 only runtime dependency.
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform as cf
-from .errors import NonPositiveKappa0Error, NoSignChangeError, PositivityError
+from .errors import NoSignChangeError, PositivityError
 from .spec import BundleSpec, EndpointType, require_valid_spec
 
 
@@ -113,9 +119,12 @@ def alpha_integrand(r, params: cf.SolutionParams, spec: BundleSpec):
 
 
 def _integral_break(params, spec):
-    """Interior sign-change point of the integrand on (0, s_*), or None."""
-    x0 = math.sqrt(2.0 * params.E / -spec.epsilon) - params.kappa0
-    return x0 if 0.0 < x0 < params.s_star else None
+    """Interior sign-change point of the integrand on (0, s_*), NaN where there is none.
+
+    Of the shape of params.kappa0: a scalar, or a (K, 1) column of kappa0 rows.
+    """
+    x0 = np.sqrt(2.0 * params.E / -spec.epsilon) - params.kappa0
+    return np.where((0.0 < x0) & (x0 < params.s_star), x0, np.nan)
 
 
 # Adaptive quadrature settings of the verifier's reference integrals.
@@ -135,8 +144,8 @@ def _piece_integrals(params, spec, cuts):
     int_0^{s_*} |integrand| exactly. Returns the ascending piece ends,
     from 0 to s_*, and the integral over each piece.
     """
-    brk = _integral_break(params, spec)
-    ends = np.array(sorted({0.0, params.s_star, *cuts, *([] if brk is None else [brk])}))
+    brk = float(_integral_break(params, spec))
+    ends = np.array(sorted({0.0, params.s_star, *cuts, *([] if math.isnan(brk) else [brk])}))
 
     def integrand(r):
         return alpha_integrand(r, params, spec)
@@ -153,9 +162,11 @@ def _piece_integrals(params, spec, cuts):
 # integrand when it changes sign inside.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 ALPHA_PANELS = 64
-# Intervals integrated per vectorised block: keeps each (block, 16)
-# temporary of the integrand near 128 kB however many points are asked.
-_GL_BLOCK = 1024
+# Intervals integrated per vectorised block (8 rows of a scan): keeps
+# each (block, 16) temporary of the integrand at 64 kB however many
+# points or kappa0 rows are asked. With three factors, 1024 ran the scan
+# and alpha about 1.4 times slower than 512, with a 1.7 times higher peak.
+_GL_BLOCK = 512
 
 # The 7-point Gauss / 15-point Kronrod pair of QUADPACK's QK15
 # (Piessens et al., 1983) for quad: Kronrod nodes on [-1, 1] and their
@@ -243,32 +254,75 @@ def quad(func, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
 
 
 def _gauss_legendre(lo, hi, params, spec):
-    """16-point Gauss-Legendre integrals of the alpha integrand, elementwise over [lo, hi]."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    """16-point Gauss-Legendre integrals of the alpha integrand, elementwise over [lo, hi].
+
+    lo and hi have one row of intervals for each kappa0 row of params
+    (see closedform.rows_from_kappa0), or one row for a single profile.
+    The nodes are evaluated _GL_BLOCK intervals at a time, each with
+    the parameters of its row (a single row broadcasts as it is).
+    """
     mid, half = (0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo)).ravel()
+    rows = np.repeat(np.arange(hi.shape[0]), hi.shape[1]) if hi.shape[0] > 1 else None
     sums = np.empty(mid.size)
     for k in range(0, mid.size, _GL_BLOCK):
-        r = mid[k : k + _GL_BLOCK, None] + half[k : k + _GL_BLOCK, None] * _GL_NODES
-        sums[k : k + _GL_BLOCK] = np.sum(_GL_WEIGHTS * alpha_integrand(r, params, spec), axis=-1)
+        block = slice(k, k + _GL_BLOCK)
+        r = mid[block, None] + half[block, None] * _GL_NODES
+        at = params if rows is None else cf.take_rows(params, rows[block])
+        sums[block] = np.sum(_GL_WEIGHTS * alpha_integrand(r, at, spec), axis=-1)
     return (half * sums).reshape(hi.shape)
 
 
-def _alpha_table(params, spec):
-    """Panel edges on [0, s_*], and the alpha integrand's integral from 0 to each and to s_*."""
-    s_star = params.s_star
-    brk = _integral_break(params, spec)
-    if brk is not None:
+def _even_edges(lo, hi, panels):
+    """np.linspace(lo, hi, panels + 1) on each row, for 1-D hi and a scalar or 1-D lo.
+
+    Written out in linspace's own arithmetic (step = (hi - lo) / panels,
+    edge k = k * step + lo, the last edge hi), so the edges are its bits;
+    linspace takes another path only for a step that rounds to 0.
+    """
+    edges = np.arange(panels + 1.0) * ((hi - lo) / panels)[:, None] + np.asarray(lo)[..., None]
+    edges[:, -1] = hi
+    return edges
+
+
+def _panel_edges(s_star, brk):
+    """ALPHA_PANELS + 1 panel edges on [0, s_*] for each entry of the 1-D s_star.
+
+    Evenly spaced, or, where the break brk is not NaN, half the panels
+    evenly on either side of it.
+    """
+    split = ~np.isnan(brk)
+    if split.all():
         half = ALPHA_PANELS // 2
-        edges = np.concatenate(
-            [np.linspace(0.0, brk, half + 1), np.linspace(brk, s_star, half + 1)[1:]]
+        return np.concatenate(
+            [_even_edges(0.0, brk, half), _even_edges(brk, s_star, half)[:, 1:]], axis=1
         )
-    else:
-        edges = np.linspace(0.0, s_star, ALPHA_PANELS + 1)
-    panels = _gauss_legendre(edges[:-1], edges[1:], params, spec)
+    edges = _even_edges(0.0, s_star, ALPHA_PANELS)
+    if split.any():
+        edges[split] = _panel_edges(s_star[split], brk[split])
+    return edges
+
+
+def _alpha_tables(params, spec):
+    """Panel edges on [0, s_*] and the alpha integrand's integral from 0 to each and to s_*.
+
+    One (K, ALPHA_PANELS + 1) array each, a row for each kappa0 row of
+    params (see closedform.rows_from_kappa0), or one row for a single
+    profile. A row whose integrand changes sign inside has half its
+    panels on either side.
+    """
+    s_star = np.asarray(params.s_star, dtype=float).reshape(-1)
+    brk = _integral_break(params, spec).reshape(-1)
+    edges = _panel_edges(s_star, brk)
+    panels = _gauss_legendre(edges[:, :-1], edges[:, 1:], params, spec)
     cum, tail = np.zeros(edges.shape), np.zeros(edges.shape)
-    np.cumsum(panels, out=cum[1:])
-    np.cumsum(panels[::-1], out=tail[-2::-1])
+    np.cumsum(panels, axis=-1, out=cum[:, 1:])
+    np.cumsum(panels[:, ::-1], axis=-1, out=tail[:, -2::-1])
     return edges, cum, tail
+
+
+def _alpha_table(params, spec):
+    """_alpha_tables for one profile: its edges, and the integral from 0 to each and to s_*."""
+    return tuple(table[0] for table in _alpha_tables(params, spec))
 
 
 def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
@@ -293,10 +347,10 @@ def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
     inner = (s_arr != 0.0) & ~((s_arr == params.s_star) & right_blowdown)
     r = s_arr[inner]
     k = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
-    brk = _integral_break(params, spec)
-    past = r >= (brk if right_blowdown and brk is not None else np.inf)
+    brk = float(_integral_break(params, spec))
+    past = r >= (brk if right_blowdown and not math.isnan(brk) else np.inf)
     lo, hi = np.where(past, r, edges[k]), np.where(past, edges[k + 1], r)
-    part = _gauss_legendre(lo, hi, params, spec)
+    part = _gauss_legendre(lo[None], hi[None], params, spec)[0]
     integral = np.where(past, -(tail[k + 1] + part), cum[k] + part)
     out[inner] = integral / (cf.V(r, params, spec) * (r + params.kappa0) ** (spec.m - 1.0))
     return float(out) if np.ndim(s) == 0 else out
@@ -372,13 +426,38 @@ def boundary_slopes(params, spec):
     return float(left), float(right)
 
 
+def _defects(kappa0, spec, root_signs=None):
+    """boundary_defect at every kappa0 of a 1-D array, and the error of each row that has one.
+
+    Row k is boundary_defect(kappa0[k]) bit for bit: the same closed
+    forms and checks with a kappa0 axis, and one table build for all
+    rows that pass them. errors has one entry per kappa0: None, or the
+    NonPositiveKappa0Error or PositivityError that boundary_defect
+    raises there, where the defect is NaN.
+    """
+    defects = np.full(np.shape(kappa0), np.nan)
+    params, live, errors = cf.rows_from_kappa0(kappa0, spec, root_signs=root_signs)
+    passed = []
+    for row, (k, error) in enumerate(zip(live, cf.beta_errors(params, spec))):
+        if error is None:
+            passed.append(row)
+        else:
+            errors[k] = error
+    if len(passed) < len(live):
+        params, live = cf.take_rows(params, passed), live[passed]
+    if len(live):
+        defects[live] = _alpha_tables(params, spec)[1][:, -1]
+    return defects, errors
+
+
 def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
     """D(kappa0) = int_0^{s_*} V (r+kappa0)^(m-2) (E + eps (r+kappa0)^2/2) dr.
 
     The zero set of D matches that of alpha(s_*) wherever the dropped
     prefactor is finite and positive. D is the last entry of the alpha
-    table (see _alpha_table), so the root is found on the same rule that
-    alpha is evaluated with.
+    table (see _alpha_tables), so the root is found on the same rule
+    that alpha is evaluated with. This is the one-row case of the scan
+    in ``solve``, which tabulates every kappa0 of its grid in one call.
 
     Raises
     ------
@@ -388,9 +467,10 @@ def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
     NonPositiveKappa0Error
         If kappa0 is too small for a positive left root (also a NaN row).
     """
-    params = cf.params_from_kappa0(kappa0, spec, root_signs=root_signs)
-    cf.require_positive_beta(params, spec)
-    return float(_alpha_table(params, spec)[1][-1])
+    (defect,), (error,) = _defects(np.array([kappa0], dtype=float), spec, root_signs)
+    if error is not None:
+        raise error
+    return float(defect)
 
 
 def _brent_step(xpre, xcur, xblk, fpre, fcur, fblk):
@@ -410,7 +490,7 @@ def _brent_step(xpre, xcur, xblk, fpre, fcur, fblk):
 
 
 def _brentq(f, a, b, xtol, rtol, maxiter=100):
-    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+    """A root x of f in [a, b], where f(a) and f(b) differ in sign, and f(x), by Brent's method.
 
     A line-for-line port of SciPy's C brentq (R. P. Brent, Algorithms
     for Minimization without Derivatives, 1973), with the same iterates
@@ -418,7 +498,8 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
     last two steps; the trial step (_brent_step) is taken when it is
     short enough, else the step bisects, and no step is shorter than
     delta = (xtol + rtol |xcur|) / 2. An exact zero at an end is
-    returned as is.
+    returned as is. f(x) is the value f returned at the root, so no
+    call is repeated for it.
 
     Raises ValueError if f(a) and f(b) have the same sign or f returns
     NaN, and RuntimeError after maxiter iterations.
@@ -433,9 +514,9 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
     xpre, xcur = float(a), float(b)
     fpre, fcur = call(xpre), call(xcur)
     if fpre == 0.0:
-        return xpre
+        return xpre, fpre
     if fcur == 0.0:
-        return xcur
+        return xcur, fcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -450,7 +531,7 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             stry = _brent_step(xpre, xcur, xblk, fpre, fcur, fblk)
@@ -479,9 +560,12 @@ def solve(
     """Locate kappa0 with alpha(s_*) = 0 by scan plus Brent's method.
 
     Scans ``config.scan_points`` log-uniform kappa0 values across the
-    bracket, records every sign change of the defect, polishes each to
-    ``config.root_tol``, and returns the profile assembled at the
-    smallest root together with the full list.
+    bracket in one array call, records every sign change of the defect,
+    polishes each to ``config.root_tol`` with the scalar
+    boundary_defect, and returns the profile assembled at the smallest
+    root together with the full list. The defect at the root is the
+    value the polish last evaluated there (0.0 for an exact zero of the
+    scan).
 
     Raises
     ------
@@ -500,12 +584,7 @@ def solve(
 
     lo, hi = config.bracket
     grid = np.geomspace(lo, hi, config.scan_points)
-    defects = np.full(grid.shape, np.nan)
-    for k, kappa0 in enumerate(grid):
-        try:
-            defects[k] = boundary_defect(float(kappa0), spec, root_signs)
-        except (PositivityError, NonPositiveKappa0Error):
-            pass  # NaN row in the scan table
+    defects, _ = _defects(grid, spec, root_signs)  # NaN rows where the checks fail
 
     sign_changes = []
     for k in range(len(grid) - 1):
@@ -543,12 +622,13 @@ def solve(
             scan_table=list(zip(grid.tolist(), defects.tolist())),
         )
 
-    roots = []
+    roots, root_defects = [], []
     for a, b in sign_changes:
         if a == b:
             roots.append(a)
+            root_defects.append(0.0)  # an exact zero of the scan
             continue
-        root = _brentq(
+        root, defect = _brentq(
             lambda k0: boundary_defect(k0, spec, root_signs),
             a,
             b,
@@ -556,11 +636,12 @@ def solve(
             rtol=4.0 * np.finfo(float).eps,
         )
         roots.append(float(root))
+        root_defects.append(defect)
 
     primary = min(roots)
-    params = cf.params_from_kappa0(primary, spec, kappa1=kappa1, root_signs=root_signs)
+    defect_at_root = root_defects[roots.index(primary)]
     # boundary_defect has checked the betas here; alpha is checked below.
-    defect_at_root = boundary_defect(primary, spec, root_signs)
+    params = cf.params_from_kappa0(primary, spec, kappa1=kappa1, root_signs=root_signs)
     s_grid = np.linspace(0.0, params.s_star, 66)[1:-1]
     require_positive_alpha(s_grid, alpha(s_grid, params, spec))
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -455,6 +456,33 @@ def test_cli_solution_spec_is_validated_on_read(solution_file, tmp_path, capsys,
     assert not csv_path.exists()
     assert main(["verify", path, "--grid", "64"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("kappa0", "8", "params.kappa0 must be a real number, got '8'"),
+        ("A", ["x"], "params.A[0] must be a real number, got 'x'"),
+        ("mu", True, "params.mu must be a real number, got True"),
+        ("kappa1", -1, "params.kappa1 must be finite and positive, got -1.0"),
+        ("kappa1", float("nan"), "params.kappa1 must be finite and positive, got nan"),
+    ],
+    ids=["string-kappa0", "string-A", "bool-mu", "kappa1=-1", "kappa1=nan"],
+)
+@pytest.mark.parametrize("command", ["verify", "profile"])
+def test_cli_solution_params_are_checked_on_read(
+    solution_file, tmp_path, capsys, command, key, value, message
+):
+    # a non-numeric entry used to end in a numpy traceback (exit 1), and a
+    # negative kappa1 in a certified profile with u = nan in every CSV row
+    path = _edited_solution(solution_file, tmp_path, lambda doc: doc["params"].update({key: value}))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solution_from_dict(load_json(path))
+    csv_path = tmp_path / "p.csv"
+    args = ["--grid", "64"] if command == "verify" else ["--csv", str(csv_path)]
+    assert main([command, path, *args]) == 2
+    assert message in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_cli_profile_does_not_run_the_certification(solution_file, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from qebundle import (
     BundleSpec,
     EndpointType,
     FactorSpec,
+    NonPositiveKappa0Error,
     NoSignChangeError,
     PositivityError,
     SolverConfig,
@@ -529,7 +530,7 @@ def test_brentq_port_repeats_scipy_iterates(name):
             defect = lambda k0: boundary_defect(k0, spec, root_signs)  # noqa: E731
             ours, ours_at = _recording(defect)
             theirs, theirs_at = _recording(defect)
-            root = sv._brentq(ours, a, b, xtol=cfg.root_tol, rtol=4.0 * np.finfo(float).eps)
+            root, _ = sv._brentq(ours, a, b, xtol=cfg.root_tol, rtol=4.0 * np.finfo(float).eps)
             want = brentq(theirs, a, b, xtol=cfg.root_tol, rtol=4.0 * np.finfo(float).eps)
             assert root == want
             assert ours_at == theirs_at
@@ -551,7 +552,8 @@ BRENT_FUNCTIONS = {
 def test_brentq_port_repeats_scipy_iterates_on_textbook_functions(name):
     f, a, b = BRENT_FUNCTIONS[name]
     outcomes = []
-    for solver in (sv._brentq, brentq):
+    ours = lambda *args, **kwargs: sv._brentq(*args, **kwargs)[0]  # noqa: E731
+    for solver in (ours, brentq):
         g, points = _recording(f)
         try:
             outcomes.append((solver(g, a, b, xtol=1e-12, rtol=1e-15), points))
@@ -561,13 +563,129 @@ def test_brentq_port_repeats_scipy_iterates_on_textbook_functions(name):
 
 
 def test_brentq_returns_an_exact_zero_at_an_end():
-    assert sv._brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12, rtol=1e-15) == 1.0
-    assert sv._brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12, rtol=1e-15) == 3.0
+    assert sv._brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12, rtol=1e-15)[0] == 1.0
+    assert sv._brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12, rtol=1e-15)[0] == 3.0
 
 
 def test_brentq_rejects_ends_of_one_sign():
     with pytest.raises(ValueError, match="different signs"):
         sv._brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The array scan against the scalar defect, row by row
+# ---------------------------------------------------------------------------
+
+# (spec, root_signs): the Brent cases, and a spec off the validity clause
+# whose scan mixes positivity failures with finite rows
+SCAN_CASES = {
+    **BRENT_CASES,
+    "positivity-rows": (
+        BundleSpec(factors=(FactorSpec(2, 3, 1), FactorSpec(2, 3, 1)), m=3.0, right=BLOWDOWN),
+        None,
+    ),
+}
+
+
+def _scalar_scan(grid, spec, root_signs=None):
+    """boundary_defect at each kappa0 of grid, NaN where it raises, and what it raises."""
+    defects, raised = np.full(grid.shape, np.nan), []
+    for k, kappa0 in enumerate(grid):
+        try:
+            defects[k] = boundary_defect(float(kappa0), spec, root_signs)
+            raised.append(None)
+        except (PositivityError, NonPositiveKappa0Error) as err:
+            raised.append((type(err), str(err)))
+    return defects, raised
+
+
+def _assert_scan_is_scalar(grid, spec, root_signs=None):
+    defects, errors = sv._defects(grid, spec, root_signs)
+    want, raised = _scalar_scan(grid, spec, root_signs)
+    assert np.array_equal(defects, want, equal_nan=True)
+    assert [None if e is None else (type(e), str(e)) for e in errors] == raised
+    assert np.array_equal(np.isnan(defects), [e is not None for e in raised])
+    return raised
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_scan_is_the_scalar_defect_bit_for_bit(name):
+    # every row of the one-call scan is the scalar call's value to the bit,
+    # and NaN exactly where the scalar call raises, with its error
+    spec, root_signs = SCAN_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        raised = _assert_scan_is_scalar(np.geomspace(1e-3, 1e3, 64), spec, root_signs)
+    if name == "positivity-rows":
+        assert 0 < sum(e is not None for e in raised) < 64
+
+
+def test_scan_is_the_scalar_defect_on_a_tiny_bracket(ref_spec):
+    # the rows below kappa0 ~ 1e-16 have no positive left root, one more
+    # fails positivity; the cancelling A-root divides by zero on the way
+    # (ROADMAP item 1 removes that warning)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        raised = _assert_scan_is_scalar(np.geomspace(1e-20, 1e3, 64), ref_spec)
+    kinds = [e[0] for e in raised if e is not None]
+    assert NonPositiveKappa0Error in kinds and PositivityError in kinds
+
+
+@pytest.mark.parametrize("scan_points", [7, 200])
+@pytest.mark.parametrize("name", ["ref", "three-factor", "right-blowdown"])
+def test_scan_points_give_the_scalar_sign_changes(name, scan_points):
+    # 7 rows are one partial block of the table, 200 rows several
+    spec = REFERENCE_SPECS[name]
+    grid = np.geomspace(1e-3, 1e3, scan_points)
+    _assert_scan_is_scalar(grid, spec)
+    defects = _scalar_scan(grid, spec)[0]
+    want = tuple(
+        (float(grid[k]), float(grid[k + 1]))
+        for k in range(scan_points - 1)
+        if np.sign(defects[k]) == -np.sign(defects[k + 1]) != 0.0
+    )
+    assert want
+    assert solve(spec, SolverConfig(scan_points=scan_points)).all_sign_changes == want
+
+
+def test_solve_calls_the_scalar_defect_only_in_the_root_polish(ref_spec, monkeypatch):
+    # the scan is one array call, and the defect at the root is the value
+    # Brent's method last evaluated there
+    calls, polish_calls = [], []
+    defect, brentq_port = sv.boundary_defect, sv._brentq
+
+    def counted_defect(*args):
+        calls.append(args[0])
+        return defect(*args)
+
+    def counted_brentq(f, *args, **kwargs):
+        def g(x):
+            polish_calls.append(x)
+            return f(x)
+
+        return brentq_port(g, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "boundary_defect", counted_defect)
+    monkeypatch.setattr(sv, "_brentq", counted_brentq)
+    prof = solve(ref_spec)
+    assert 0 < len(calls) < 16
+    assert calls == polish_calls
+    assert prof.params.kappa0 in calls
+    assert prof.defect_at_root == defect(prof.params.kappa0, ref_spec)
+
+
+def test_panel_edges_are_linspace_bit_for_bit():
+    # the table's edges are written out in linspace's arithmetic
+    rng = np.random.default_rng(5)
+    s_star = rng.uniform(1e-3, 1e3, 500)
+    brk = np.where(rng.random(500) < 0.5, s_star * rng.random(500), np.nan)
+    edges = sv._panel_edges(s_star, brk)
+    for e, s, b in zip(edges, s_star, brk):
+        if np.isnan(b):
+            want = np.linspace(0.0, s, sv.ALPHA_PANELS + 1)
+        else:
+            half = sv.ALPHA_PANELS // 2
+            want = np.concatenate([np.linspace(0.0, b, half + 1), np.linspace(b, s, half + 1)[1:]])
+        assert np.array_equal(e, want)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
