@@ -13,18 +13,14 @@ from .closedform import (
     QuadraticRoots,
     SolutionParams,
     beta,
-    beta_prime,
-    beta_second,
+    beta_jet,
     coefficients_A,
     endpoint_quadratic_roots,
     energy_from_kappa0,
     kappa0_and_sstar,
-    logV_prime,
-    logV_second,
     params_from_kappa0,
     phi,
     phi_prime,
-    positivity_check,
     V,
 )
 from .errors import (
@@ -39,7 +35,6 @@ from .solver import (
     SolvedProfile,
     SolverConfig,
     alpha,
-    alpha_derivatives,
     alpha_integrand,
     boundary_defect,
     boundary_slopes,

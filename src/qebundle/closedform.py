@@ -26,8 +26,9 @@ factor at that end (0 for a smooth collapse of the circle fiber alone).
 Everything in this module is exact arithmetic on these formulas; the
 only numerics in the pipeline live in the quadrature for alpha and the
 root-find over kappa0 (see solver). The base factors sit on one leading
-array axis: beta and its derivatives have shape (r,) + shape(s), and V
-and the log V derivatives reduce over it.
+array axis: beta and its jet (beta_jet) have shape (r,) + shape(s), and
+V reduces over it. The log V derivatives are formed from the jet in
+verifier.sample_at, the one evaluator of the profile's derivatives.
 """
 
 from __future__ import annotations
@@ -277,16 +278,15 @@ def beta(s, params: SolutionParams, spec: BundleSpec):
     return a * x * x - c
 
 
-def beta_prime(s, params: SolutionParams, spec: BundleSpec):
-    """beta_i'(s) = 2 A_i (s+kappa0), shape (r,) + shape(s)."""
-    x, a, _ = _coefficients(s, params, spec)
-    return 2.0 * a * x
+def beta_jet(s, params: SolutionParams, spec: BundleSpec):
+    """(beta_i, beta_i', beta_i'') at s from one coefficient evaluation, each (r,) + shape(s).
 
-
-def beta_second(s, params: SolutionParams, spec: BundleSpec):
-    """beta_i''(s) = 2 A_i, shape (r,) + shape(s)."""
-    x, a, _ = _coefficients(s, params, spec)
-    return np.full(a.shape[:1] + x.shape, 2.0 * a)
+    beta_i' = 2 A_i (s+kappa0) and beta_i'' = 2 A_i. Unchecked, so the
+    blowdown ends, where a beta_i vanishes, can read it too;
+    verifier.sample_at checks positivity where log V enters.
+    """
+    x, a, c = _coefficients(s, params, spec)
+    return a * x * x - c, 2.0 * a * x, np.full(a.shape[:1] + x.shape, 2.0 * a)
 
 
 def phi(s, params: SolutionParams):
@@ -304,39 +304,6 @@ def V(s, params: SolutionParams, spec: BundleSpec):
     """V(s) = prod_i beta_i(s)^(n_i); vanishes only at a blowdown end."""
     # A Python-int exponent per factor: numpy squares exactly, an exponent array uses pow.
     return math.prod(b**fac.n for b, fac in zip(beta(s, params, spec), spec.factors))
-
-
-def _positive_beta(s, params, spec):
-    """beta(s), after checking that every beta_i(s) > 0 (a NaN is not)."""
-    b = beta(s, params, spec)
-    flat = b.reshape(spec.r, -1)
-    good = flat > 0.0
-    if np.count_nonzero(good) < good.size:
-        i, k = np.argwhere(~good)[0]
-        s_k, b_k = float(np.ravel(s)[k]), float(flat[i, k])
-        message = f"beta_{i + 1}({s_k:.6g}) = {b_k:.3e} is not positive; log V undefined"
-        raise PositivityError(message, s=s_k, value=b_k, factor=int(i) + 1)
-    return b
-
-
-def logV_prime(s, params: SolutionParams, spec: BundleSpec):
-    """(log V)'(s) = sum_i n_i beta_i'/beta_i; requires all beta_i(s) > 0.
-
-    Raises PositivityError at the first factor and s where it is not.
-    """
-    b = _positive_beta(s, params, spec)
-    n = factor_constants(spec, np.ndim(s))[0]
-    out = np.sum(n * beta_prime(s, params, spec) / b, axis=0)
-    return float(out) if np.ndim(s) == 0 else out
-
-
-def logV_second(s, params: SolutionParams, spec: BundleSpec):
-    """(log V)''(s) = sum_i n_i (beta_i'' beta_i - beta_i'^2)/beta_i^2."""
-    b = _positive_beta(s, params, spec)
-    bp, bpp = beta_prime(s, params, spec), beta_second(s, params, spec)
-    n = factor_constants(spec, np.ndim(s))[0]
-    out = np.sum(n * (bpp * b - bp * bp) / (b * b), axis=0)
-    return float(out) if np.ndim(s) == 0 else out
 
 
 def beta_errors(params: SolutionParams, spec: BundleSpec) -> list:
@@ -375,24 +342,8 @@ def beta_errors(params: SolutionParams, spec: BundleSpec) -> list:
     return errors
 
 
-def positivity_check(params: SolutionParams, spec: BundleSpec):
-    """Exact positivity of every beta_i on (0, s_*), by beta_errors' rule.
-
-    Returns
-    -------
-    (ok, violation)
-        ok is True when every factor is positive on the open interval;
-        violation is None or a dict {"factor": i (1-based), "s": endpoint,
-        "value": beta} for the first offender.
-    """
-    error = beta_errors(params, spec)[0]
-    if error is None:
-        return True, None
-    return False, {"factor": error.factor, "s": error.s, "value": error.value}
-
-
 def require_positive_beta(params: SolutionParams, spec: BundleSpec):
-    """Raise the PositivityError of positivity_check's first offender, if any."""
+    """Raise the PositivityError of beta_errors' first offender, if any."""
     error = beta_errors(params, spec)[0]
     if error is not None:
         raise error

@@ -53,7 +53,11 @@ def _from_json(cls, doc: dict):
 
     Fields declared tuple or np.ndarray are rebuilt from JSON lists;
     other keys in doc are ignored, and a missing one raises KeyError.
+    A doc that is not an object, or a value of a type that cls cannot
+    check, raises ValueError.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
     types = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
@@ -65,7 +69,10 @@ def _from_json(cls, doc: dict):
         elif tp is np.ndarray:
             value = np.array(value)
         kwargs[f.name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as err:  # such as a null root_tol or a number for a bracket
+        raise ValueError(f"{cls.__name__}: {err}") from None
 
 
 def solution_to_dict(
@@ -109,7 +116,8 @@ def _checked_params(params: cf.SolutionParams) -> cf.SolutionParams:
 def solution_from_dict(doc: dict):
     """Rebuild (spec, SolvedProfile, SolverConfig) from solution JSON.
 
-    Raises ValueError if the spec fails validation, a params entry is
+    Raises ValueError if the spec fails validation, config or params is
+    not an object, config fails SolverConfig's checks, a params entry is
     not a real number, kappa1 is not finite and positive, or params.A
     does not hold one coefficient per factor.
     """
@@ -163,7 +171,7 @@ def profile_table(
     n = len(s)
     a = mp.f**2
     ap = np.empty(n)
-    ap[1:-1] = sv.alpha_derivatives(s[1:-1], params, spec)[1]
+    ap[1:-1] = vf.sample_at(s[1:-1], params, spec).alpha_prime
     slope0, slope_end = sv.boundary_slopes(params, spec)
     ap[0], ap[-1] = slope0, slope_end
     cols = [s, a, ap, *cf.beta(s, params, spec), cf.phi(s, params), cf.V(s, params, spec)]

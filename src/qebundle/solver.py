@@ -63,7 +63,8 @@ class SolverConfig:
 
     bracket : (lo, hi) kappa0 search interval, 0 < lo < hi < inf.
     scan_points : log-uniform samples of the defect across the bracket.
-    root_tol : absolute tolerance on kappa0 in the Brent polish (_brentq).
+    root_tol : absolute tolerance on kappa0 in the Brent polish (_brentq),
+        0 < root_tol < inf.
 
     The defect and alpha both come from the fixed-order table (see
     alpha), which has no tolerance to set.
@@ -77,10 +78,12 @@ class SolverConfig:
         lo, hi = self.bracket
         if not (0.0 < lo < hi < math.inf):
             raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {self.bracket}")
+        if not isinstance(self.scan_points, int) or isinstance(self.scan_points, bool):
+            raise ValueError(f"scan_points must be an int, got {self.scan_points!r}")
         if self.scan_points < 2:
             raise ValueError("scan_points must be at least 2")
-        if self.root_tol <= 0.0:
-            raise ValueError("root_tol must be positive")
+        if not (0.0 < self.root_tol < math.inf):
+            raise ValueError(f"root_tol must satisfy 0 < root_tol < inf, got {self.root_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -364,30 +367,6 @@ def require_positive_alpha(s, a):
         s_k, a_k = float(s[k]), float(a[k])
         message = f"alpha({s_k:.6g}) = {a_k:.3e} is not positive"
         raise PositivityError(message, s=s_k, value=a_k, factor=None)
-
-
-def alpha_derivatives(s, params: cf.SolutionParams, spec: BundleSpec):
-    """(alpha, alpha', alpha'') at s from one evaluation of alpha.
-
-    alpha' = RHS - P alpha comes from the first-order ODE, and
-    differentiating it once gives alpha'' = RHS' - P' alpha - P alpha',
-    with RHS' = eps/2 - E/(s+kappa0)^2 and
-    P' = (log V)'' - (m-1)/(s+kappa0)^2. Needs all beta_i(s) > 0
-    (interior points when a blowdown end exists); endpoint slopes are
-    obtained by extrapolation, see boundary_slopes. Accepts scalar or
-    array s.
-    """
-    a = alpha(s, params, spec)
-    x = np.asarray(s, dtype=float) + params.kappa0
-    P = cf.logV_prime(s, params, spec) + (spec.m - 1.0) / x
-    rhs = 0.5 * spec.epsilon * x + params.E / x
-    ap = rhs - P * a
-    rhs_p = 0.5 * spec.epsilon - params.E / (x * x)
-    P_p = cf.logV_second(s, params, spec) - (spec.m - 1.0) / (x * x)
-    app = rhs_p - P_p * a - P * ap
-    if np.ndim(s) == 0:
-        return float(a), float(ap), float(app)
-    return a, ap, app
 
 
 def richardson(y1, y2, y3):

@@ -37,8 +37,10 @@ of the pieces from s to s_*.
 A profile is *certified* when every named check passes its tolerance.
 Tolerances are tiered by the weakest numerical ingredient of each
 check: algebraic identities at 1e-12, quadrature-backed residuals at
-1e-8, extrapolation/finite-difference checks at 1e-6 (and 1e-4 for the
-t-coordinate spot check).
+1e-8, extrapolation/finite-difference checks at 1e-6. verify_t_system
+(with its bound TOL_T_SYSTEM = 1e-4) is a separate spot check of the
+t-coordinate fiber equation on the arclength reconstruction: verify
+does not run it, and it is no part of ``certified``.
 """
 
 from __future__ import annotations
@@ -99,20 +101,50 @@ class ResidualReport:
 
 
 def sample_at(s, params: cf.SolutionParams, spec: BundleSpec) -> ProfileSample:
-    """Evaluate every profile quantity at interior points s (scalar or array)."""
-    a, ap, app = sv.alpha_derivatives(s, params, spec)
+    """Evaluate every profile quantity at interior points s (scalar or array).
+
+    The one evaluator of the profile's derivatives: one beta_jet call
+    gives beta_i, beta_i' and beta_i'', and (log V)' and (log V)'' are
+    formed from them. alpha' = RHS - P alpha comes from the first-order
+    ODE, and differentiating it once gives alpha'' = RHS' - P' alpha - P alpha',
+    with RHS' = eps/2 - E/(s+kappa0)^2 and
+    P' = (log V)'' - (m-1)/(s+kappa0)^2. Needs all beta_i(s) > 0
+    (interior points when a blowdown end exists), else raises
+    PositivityError at the first factor and s where it is not (a NaN is
+    not); endpoint slopes are obtained by extrapolation, see
+    solver.boundary_slopes.
+    """
+    b, bp, bpp = cf.beta_jet(s, params, spec)
+    flat = b.reshape(spec.r, -1)
+    good = flat > 0.0
+    if np.count_nonzero(good) < good.size:
+        i, k = np.argwhere(~good)[0]
+        s_k, b_k = float(np.ravel(s)[k]), float(flat[i, k])
+        message = f"beta_{i + 1}({s_k:.6g}) = {b_k:.3e} is not positive; log V undefined"
+        raise PositivityError(message, s=s_k, value=b_k, factor=int(i) + 1)
+    n = cf.factor_constants(spec, np.ndim(s))[0]
+    lp = np.sum(n * bp / b, axis=0)
+    lpp = np.sum(n * (bpp * b - bp * bp) / (b * b), axis=0)
+    a = sv.alpha(s, params, spec)
+    x = np.asarray(s, dtype=float) + params.kappa0
+    P = lp + (spec.m - 1.0) / x
+    rhs = 0.5 * spec.epsilon * x + params.E / x
+    ap = rhs - P * a
+    rhs_p = 0.5 * spec.epsilon - params.E / (x * x)
+    P_p = lpp - (spec.m - 1.0) / (x * x)
+    app = rhs_p - P_p * a - P * ap
     return ProfileSample(
         s=s,
         alpha=a,
         alpha_prime=ap,
         alpha_second=app,
-        beta=cf.beta(s, params, spec),
-        beta_prime=cf.beta_prime(s, params, spec),
-        beta_second=cf.beta_second(s, params, spec),
+        beta=b,
+        beta_prime=bp,
+        beta_second=bpp,
         phi=cf.phi(s, params),
         phi_prime=cf.phi_prime(s, params),
-        logV_prime=cf.logV_prime(s, params, spec),
-        logV_second=cf.logV_second(s, params, spec),
+        logV_prime=lp,
+        logV_second=lpp,
     )
 
 
@@ -253,10 +285,10 @@ def verify(
     }
     if spec.left is EndpointType.BLOWDOWN:
         boundary["beta_left_at_0"] = float(cf.beta(0.0, params, spec)[0])
-        boundary["beta_left_slope_minus_1"] = float(cf.beta_prime(0.0, params, spec)[0]) - 1.0
+        boundary["beta_left_slope_minus_1"] = float(cf.beta_jet(0.0, params, spec)[1][0]) - 1.0
     if spec.right is EndpointType.BLOWDOWN:
         boundary["beta_right_at_sstar"] = float(cf.beta(s_star, params, spec)[-1])
-        boundary["beta_right_slope_plus_1"] = float(cf.beta_prime(s_star, params, spec)[-1]) + 1.0
+        boundary["beta_right_slope_plus_1"] = float(cf.beta_jet(s_star, params, spec)[1][-1]) + 1.0
 
     # Endpoint quadratic residuals (exact algebraic identities).
     qL = 0.5 * params.kappa0**2 + 2.0 * (spec.n_left + 1) * params.kappa0 - params.E
@@ -276,9 +308,9 @@ def verify(
     h = 1e-6 * s_star
     fd_points = np.linspace(0.1 * s_star, 0.9 * s_star, 10)
     pts = fd_points + h * np.array([[-1.0], [0.0], [1.0]])
-    a, ap, app = sv.alpha_derivatives(pts, params, spec)
-    lp = cf.logV_prime(pts, params, spec)
-    lpp = cf.logV_second(fd_points, params, spec)
+    fd = sample_at(pts, params, spec)
+    a, ap, app, lp = fd.alpha, fd.alpha_prime, fd.alpha_second, fd.logV_prime
+    lpp = fd.logV_second[1]  # pts[1] is fd_points exactly
     logV = np.log(cf.V(pts, params, spec))
     fd_worst = float(
         np.max(

@@ -174,12 +174,13 @@ def test_criterion_06_boundary_conditions(ref_profile, ref_spec):
 
 
 def test_criterion_07_blowdown_instance(blow_spec, blow_profile, blow_report_512):
-    from qebundle.closedform import beta, beta_prime
+    from qebundle.closedform import beta_jet
 
     p = blow_profile.params
     k_dev = abs(p.kappa0 - orc.K0_BLOW)
-    b0 = abs(beta(0.0, p, blow_spec)[0])
-    bp0 = abs(beta_prime(0.0, p, blow_spec)[0] - 1.0)
+    b, bp, _ = beta_jet(0.0, p, blow_spec)
+    b0 = abs(b[0])
+    bp0 = abs(bp[0] - 1.0)
     res = max(
         float(np.max(np.abs(blow_report_512.res_25))),
         float(np.max(np.abs(blow_report_512.res_26))),

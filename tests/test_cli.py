@@ -459,23 +459,55 @@ def test_cli_solution_spec_is_validated_on_read(solution_file, tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "key, value, message",
+    "edit, message",
     [
-        ("kappa0", "8", "params.kappa0 must be a real number, got '8'"),
-        ("A", ["x"], "params.A[0] must be a real number, got 'x'"),
-        ("mu", True, "params.mu must be a real number, got True"),
-        ("kappa1", -1, "params.kappa1 must be finite and positive, got -1.0"),
-        ("kappa1", float("nan"), "params.kappa1 must be finite and positive, got nan"),
+        ({"params": {"kappa0": "8"}}, "params.kappa0 must be a real number, got '8'"),
+        ({"params": {"A": ["x"]}}, "params.A[0] must be a real number, got 'x'"),
+        ({"params": {"mu": True}}, "params.mu must be a real number, got True"),
+        ({"params": {"kappa1": -1}}, "params.kappa1 must be finite and positive, got -1.0"),
+        (
+            {"params": {"kappa1": float("nan")}},
+            "params.kappa1 must be finite and positive, got nan",
+        ),
+        ({"config": []}, "SolverConfig must be a JSON object, got []"),
+        ({"params": []}, "SolutionParams must be a JSON object, got []"),
+        ({"config": {"scan_points": "64"}}, "scan_points must be an int, got '64'"),
+        ({"config": {"bracket": 5}}, "SolverConfig: cannot unpack non-iterable int object"),
+        (
+            {"config": {"root_tol": None}},
+            "SolverConfig: '<' not supported between instances of 'float' and 'NoneType'",
+        ),
     ],
-    ids=["string-kappa0", "string-A", "bool-mu", "kappa1=-1", "kappa1=nan"],
+    ids=[
+        "string-kappa0",
+        "string-A",
+        "bool-mu",
+        "kappa1=-1",
+        "kappa1=nan",
+        "config=list",
+        "params=list",
+        "string-scan_points",
+        "bracket=5",
+        "root_tol=null",
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "profile"])
 def test_cli_solution_params_are_checked_on_read(
-    solution_file, tmp_path, capsys, command, key, value, message
+    solution_file, tmp_path, capsys, command, edit, message
 ):
-    # a non-numeric entry used to end in a numpy traceback (exit 1), and a
-    # negative kappa1 in a certified profile with u = nan in every CSV row
-    path = _edited_solution(solution_file, tmp_path, lambda doc: doc["params"].update({key: value}))
+    # a non-numeric entry used to end in a numpy traceback (exit 1), a
+    # negative kappa1 in a certified profile with u = nan in every CSV row,
+    # and a list for config or params, or a config entry of the wrong
+    # type, in a TypeError traceback (exit 1). An object in ``edit`` is
+    # merged into that part of the file; anything else replaces it.
+    def apply(doc):
+        for part, value in edit.items():
+            if isinstance(value, dict):
+                doc[part].update(value)
+            else:
+                doc[part] = value
+
+    path = _edited_solution(solution_file, tmp_path, apply)
     with pytest.raises(ValueError, match=re.escape(message)):
         solution_from_dict(load_json(path))
     csv_path = tmp_path / "p.csv"

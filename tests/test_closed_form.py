@@ -14,20 +14,18 @@ from qebundle import (
     NonPositiveKappa0Error,
     PositivityError,
     beta,
-    beta_prime,
-    beta_second,
+    beta_jet,
     coefficients_A,
     endpoint_quadratic_roots,
     energy_from_kappa0,
     kappa0_and_sstar,
-    logV_prime,
-    logV_second,
     params_from_kappa0,
     phi,
     phi_prime,
-    positivity_check,
+    sample_at,
     V,
 )
+from qebundle.closedform import beta_errors
 
 COLLAPSE = EndpointType.SMOOTH_COLLAPSE
 BLOWDOWN = EndpointType.BLOWDOWN
@@ -209,8 +207,10 @@ def test_beta_is_the_declared_quadratic(ref_profile, ref_spec):
         assert beta(s, p, ref_spec)[0] == pytest.approx(
             a * x * x - 1.0 / (4.0 * a), rel=1e-14
         )
-        assert beta_prime(s, p, ref_spec)[0] == pytest.approx(2.0 * a * x, rel=1e-14)
-        assert beta_second(s, p, ref_spec)[0] == pytest.approx(2.0 * a, rel=1e-14)
+        b, bp, bpp = beta_jet(s, p, ref_spec)
+        assert b[0] == beta(s, p, ref_spec)[0]
+        assert bp[0] == pytest.approx(2.0 * a * x, rel=1e-14)
+        assert bpp[0] == pytest.approx(2.0 * a, rel=1e-14)
 
 
 def test_beta_accepts_arrays(ref_profile, ref_spec):
@@ -226,7 +226,7 @@ def test_blowdown_boundary_values_of_beta(blow_profile, blow_spec):
     # A_1 = 1/(2 kappa0), not numerics
     p = blow_profile.params
     assert beta(0.0, p, blow_spec)[0] == 0.0
-    assert beta_prime(0.0, p, blow_spec)[0] == 1.0
+    assert beta_jet(0.0, p, blow_spec)[1][0] == 1.0
 
 
 def test_right_blowdown_boundary_values_of_beta():
@@ -235,7 +235,7 @@ def test_right_blowdown_boundary_values_of_beta():
     kappa0, s_star = kappa0_and_sstar(E, spec)
     p = params_from_kappa0(kappa0, spec)
     assert abs(beta(s_star, p, spec)[1]) < 1e-14
-    assert beta_prime(s_star, p, spec)[1] == pytest.approx(-1.0, abs=1e-14)
+    assert beta_jet(s_star, p, spec)[1][1] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_phi_is_linear(ref_profile):
@@ -269,8 +269,9 @@ def test_logV_derivatives_match_central_differences(ref_profile, ref_spec):
     for s in rng.uniform(0.1 * p.s_star, 0.9 * p.s_star, 10):
         fd1 = orc.central_first(logV, s, h)
         fd2 = orc.central_second(logV, s, h)
-        assert logV_prime(s, p, ref_spec) == pytest.approx(fd1, rel=1e-8, abs=1e-8)
-        assert logV_second(s, p, ref_spec) == pytest.approx(fd2, rel=1e-4, abs=1e-4)
+        smp = sample_at(s, p, ref_spec)
+        assert smp.logV_prime == pytest.approx(fd1, rel=1e-8, abs=1e-8)
+        assert smp.logV_second == pytest.approx(fd2, rel=1e-4, abs=1e-4)
 
 
 def test_V_rejects_nonpositive_beta(ref_profile, ref_spec):
@@ -278,8 +279,8 @@ def test_V_rejects_nonpositive_beta(ref_profile, ref_spec):
     # end; log V is undefined beyond it
     p = ref_profile.params
     x0 = 1.0 / (2.0 * abs(p.A[0]))
-    with pytest.raises(PositivityError) as err:
-        logV_prime(x0 - p.kappa0 + 1.0, p, ref_spec)
+    with pytest.raises(PositivityError, match="log V undefined") as err:
+        sample_at(x0 - p.kappa0 + 1.0, p, ref_spec)
     assert err.value.factor == 1
 
 
@@ -290,19 +291,15 @@ def test_ansatz_identity_holds_pointwise(ref_profile, ref_spec):
     # combination vanishes
     p = ref_profile.params
     for s in np.linspace(0.2, 3.8, 7):
-        b = beta(s, p, ref_spec)[0]
-        bp = beta_prime(s, p, ref_spec)[0]
-        bpp = beta_second(s, p, ref_spec)[0]
+        b, bp, bpp = (d[0] for d in beta_jet(s, p, ref_spec))
         lhs = bpp / b - 0.5 * (bp / b) ** 2
         rhs = -1.0 / (2.0 * b * b)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_positivity_check_accepts_solved_profiles(ref_profile, ref_spec, blow_profile, blow_spec):
-    ok, violation = positivity_check(ref_profile.params, ref_spec)
-    assert ok and violation is None
-    ok, violation = positivity_check(blow_profile.params, blow_spec)
-    assert ok and violation is None
+    assert beta_errors(ref_profile.params, ref_spec) == [None]
+    assert beta_errors(blow_profile.params, blow_spec) == [None]
 
 
 def test_positivity_check_flags_broken_coefficients(ref_profile, ref_spec):
@@ -312,10 +309,10 @@ def test_positivity_check_flags_broken_coefficients(ref_profile, ref_spec):
     bad = SolutionParams(
         kappa0=p.kappa0, kappa1=p.kappa1, E=p.E, mu=p.mu, s_star=p.s_star, A=(1e-4,)
     )
-    ok, violation = positivity_check(bad, ref_spec)
-    assert not ok
-    assert violation["factor"] == 1
-    assert violation["value"] <= 0.0
+    (error,) = beta_errors(bad, ref_spec)
+    assert error is not None
+    assert error.factor == 1
+    assert error.value <= 0.0
 
 
 @pytest.mark.parametrize("spec_name", ["ref_spec", "blow_spec", "right_spec", "both_spec"])
@@ -332,15 +329,17 @@ def test_positivity_check_matches_factor_by_factor_reference(request, spec_name)
         p = params_from_kappa0(kappa0, spec)
         scale = rng.choice([1.0, 1e-3, -1.0], size=spec.r)
         p = dataclasses.replace(p, A=tuple(float(a * f) for a, f in zip(p.A, scale)))
-        want = (True, None)
+        want = None
         for i, j in np.ndindex(spec.r, 2):
             s = (0.0, p.s_star)[j]
             value = beta(s, p, spec)[i]
             if not forced.get((i, j)) and value <= 0.0:
-                want = (False, {"factor": i + 1, "s": s, "value": value})
+                want = {"factor": i + 1, "s": s, "value": value}
                 break
-        assert positivity_check(p, spec) == want
-        outcomes.add(want[0])
+        (error,) = beta_errors(p, spec)
+        got = error and {"factor": error.factor, "s": error.s, "value": error.value}
+        assert got == want
+        outcomes.add(want is None)
     assert outcomes == {True, False}
 
 

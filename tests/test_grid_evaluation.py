@@ -8,11 +8,8 @@ import pytest
 from qebundle import (
     V,
     alpha,
-    alpha_derivatives,
     ansatz_residual,
     chebyshev_grid,
-    logV_prime,
-    logV_second,
     residual_27,
     sample_at,
 )
@@ -42,13 +39,35 @@ def _fd_stencil(params):
 def _on_points_and_pointwise(fn, points, p, spec):
     """fn on the whole point array, and fn point by point laid out the same way."""
     on_points = np.asarray(fn(points, p, spec))
-    # a tuple result (alpha_derivatives) stacks its parts first
+    # a tuple result (a group of sample_at fields) stacks its parts first
     pointwise = np.array([fn(s, p, spec) for s in points.ravel()])
     return on_points, np.moveaxis(pointwise, 0, -1).reshape(on_points.shape)
 
 
+def _sampled(*fields):
+    """The sample_at fields ``fields`` as a function of the points."""
+
+    def fn(s, p, spec):
+        sample = sample_at(s, p, spec)
+        return tuple(getattr(sample, name) for name in fields)
+
+    return fn
+
+
+# every sample_at field but s, in groups, and the alpha and V it builds on
+ON_POINTS = {
+    "alpha": alpha,
+    "alpha_derivatives": _sampled("alpha", "alpha_prime", "alpha_second"),
+    "logV_prime": _sampled("logV_prime"),
+    "logV_second": _sampled("logV_second"),
+    "V": V,
+    "beta": _sampled("beta", "beta_prime", "beta_second"),
+    "phi": _sampled("phi", "phi_prime"),
+}
+
+
 @pytest.mark.parametrize("profile_name, spec_name", PROFILES)
-@pytest.mark.parametrize("fn", [alpha, alpha_derivatives, logV_prime, logV_second, V])
+@pytest.mark.parametrize("fn", ON_POINTS.values(), ids=ON_POINTS.keys())
 def test_profile_on_2d_points_equals_pointwise(request, profile_name, spec_name, fn):
     p = request.getfixturevalue(profile_name).params
     spec = request.getfixturevalue(spec_name)
@@ -71,14 +90,31 @@ def test_alpha_at_end_points_equals_pointwise(request, profile_name, spec_name):
 
 @pytest.mark.parametrize("profile_name, spec_name", PROFILES)
 def test_alpha_derivatives_on_grid_equal_pointwise(request, profile_name, spec_name):
+    # sample_at's alpha is the solver's alpha, and alpha' and alpha'' follow it pointwise
     p = request.getfixturevalue(profile_name).params
     spec = request.getfixturevalue(spec_name)
     grid = _grid(p)
-    on_grid = alpha_derivatives(grid, p, spec)
-    pointwise = [alpha_derivatives(s, p, spec) for s in grid]
-    for k in range(3):
-        assert on_grid[k].shape == grid.shape
-        assert np.array_equal(on_grid[k], [d[k] for d in pointwise])
+    on_grid = sample_at(grid, p, spec)
+    pointwise = [sample_at(s, p, spec) for s in grid]
+    assert np.array_equal(on_grid.alpha, alpha(grid, p, spec))
+    for name in ("alpha", "alpha_prime", "alpha_second"):
+        assert getattr(on_grid, name).shape == grid.shape
+        assert np.array_equal(getattr(on_grid, name), [getattr(sm, name) for sm in pointwise])
+
+
+@pytest.mark.parametrize("profile_name, spec_name", PROFILES)
+def test_fd_stencil_middle_row_is_sample_at_on_the_fd_points(request, profile_name, spec_name):
+    # the verifier's finite-difference check reads (log V)'' from row 1 of
+    # one sample_at call on the stencil: bit for bit the value at the points
+    p = request.getfixturevalue(profile_name).params
+    spec = request.getfixturevalue(spec_name)
+    points = _fd_stencil(p)
+    fd_points = np.linspace(0.1 * p.s_star, 0.9 * p.s_star, 10)
+    assert np.array_equal(points[1], fd_points)
+    on_stencil, on_row = sample_at(points, p, spec), sample_at(fd_points, p, spec)
+    for field in dataclasses.fields(on_row):
+        got = np.asarray(getattr(on_stencil, field.name))[..., 1, :]
+        assert np.array_equal(got, getattr(on_row, field.name)), field.name
 
 
 @pytest.mark.parametrize("profile_name, spec_name", PROFILES)

@@ -20,16 +20,15 @@ from qebundle import (
     SolverConfig,
     V,
     alpha,
-    alpha_derivatives,
     alpha_integrand,
     beta,
     boundary_defect,
     boundary_slopes,
-    positivity_check,
+    sample_at,
     solve,
 )
 from qebundle import solver as sv
-from qebundle.closedform import params_from_kappa0
+from qebundle.closedform import beta_errors, params_from_kappa0
 from qebundle.verifier import chebyshev_grid
 
 COLLAPSE = EndpointType.SMOOTH_COLLAPSE
@@ -56,6 +55,11 @@ def test_config_defaults():
         {"scan_points": 1},
         {"root_tol": 0.0},
         {"bracket": (1e-3, math.inf)},
+        {"root_tol": math.inf},
+        {"root_tol": math.nan},
+        {"scan_points": 64.0},
+        {"scan_points": "64"},
+        {"scan_points": True},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -151,9 +155,9 @@ def test_alpha_positivity_rule_fails_nan():
 
 def test_beta_positivity_check_fails_nan(ref_profile, ref_spec):
     p = ref_profile.params
-    ok, violation = positivity_check(dataclasses.replace(p, s_star=math.nan), ref_spec)
-    assert not ok
-    assert violation["factor"] == 1 and math.isnan(violation["value"])
+    (error,) = beta_errors(dataclasses.replace(p, s_star=math.nan), ref_spec)
+    assert error is not None
+    assert error.factor == 1 and math.isnan(error.value)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +363,16 @@ def test_alpha_prime_matches_central_differences(ref_profile, ref_spec):
     f = lambda s: alpha(s, p, ref_spec)
     for s in np.linspace(0.1 * p.s_star, 0.9 * p.s_star, 10):
         fd = orc.central_first(f, s, h)
-        assert alpha_derivatives(s, p, ref_spec)[1] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        assert sample_at(s, p, ref_spec).alpha_prime == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_alpha_second_matches_differenced_alpha_prime(ref_profile, ref_spec):
     p = ref_profile.params
     h = 1e-6 * p.s_star
-    f = lambda s: alpha_derivatives(s, p, ref_spec)[1]
+    f = lambda s: sample_at(s, p, ref_spec).alpha_prime
     for s in np.linspace(0.1 * p.s_star, 0.9 * p.s_star, 10):
         fd = orc.central_first(f, s, h)
-        assert alpha_derivatives(s, p, ref_spec)[2] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        assert sample_at(s, p, ref_spec).alpha_second == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_boundary_slopes_are_plus_minus_two(ref_profile, ref_spec):
@@ -436,7 +440,7 @@ def test_scan_sign_changes_match_adaptive_quadrature(name):
     defects = np.full(grid.shape, np.nan)
     for k, kappa0 in enumerate(grid):
         p = params_from_kappa0(float(kappa0), spec)
-        if positivity_check(p, spec)[0]:
+        if beta_errors(p, spec)[0] is None:
             defects[k] = _quad_split(p, spec, p.s_star, 1e-12)
     want = tuple(
         (float(grid[k]), float(grid[k + 1]))

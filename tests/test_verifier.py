@@ -25,7 +25,7 @@ from qebundle import (
     verify,
 )
 from qebundle import solver
-from qebundle.closedform import beta, beta_prime, params_from_kappa0
+from qebundle.closedform import beta_jet, params_from_kappa0
 from qebundle.solver import boundary_defect
 
 
@@ -78,9 +78,8 @@ def test_residual_27_reduces_to_left_quadratic_at_zero(ref_profile, ref_spec):
     # at s = 0 the equation collapses to (beta'(0) - p)/beta(0) = eps/2,
     # which is the left endpoint quadratic in disguise
     p = ref_profile.params
-    b0 = beta(0.0, p, ref_spec)[0]
-    bp0 = beta_prime(0.0, p, ref_spec)[0]
-    assert (bp0 - 3.0) / b0 == pytest.approx(-0.5, abs=1e-12)
+    b, bp, _ = beta_jet(0.0, p, ref_spec)
+    assert (bp[0] - 3.0) / b[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_mu_samples_equal_E_kappa1_squared(ref_profile, ref_spec):
