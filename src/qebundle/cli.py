@@ -215,9 +215,7 @@ def _case_blowdown_consistency():
                 m=2.0,
                 left=EndpointType.BLOWDOWN,
             )
-            E = cf.energy_from_kappa0(kappa0, n1)
-            k0_check, s_star = cf.kappa0_and_sstar(E, spec)
-            A = cf.coefficients_A(E, kappa0, s_star, spec)
+            A = cf.params_from_kappa0(kappa0, spec).A
             rows.append(
                 (
                     f"kappa0={kappa0:<4g} n1={n1} A_1={A[0]!r}",

@@ -66,6 +66,7 @@ class SolutionParams:
     s_star : interval length; -(s_star + kappa0) is the small root of
         the right-end quadratic.
     A : tuple of r quadratic coefficients A_i.
+    For kappa0 rows (see rows_from_kappa0) all but kappa1 are (K, 1) columns.
     """
 
     kappa0: float
@@ -118,29 +119,26 @@ def _left_root_error(kappa0, E):
     return NonPositiveKappa0Error(f"large left root {float(kappa0)} <= 0 (E={float(E)})")
 
 
-def kappa0_and_sstar(E: float, spec: BundleSpec) -> tuple:
+def kappa0_and_sstar(E, spec: BundleSpec) -> tuple:
     """Endpoint shift and interval length for a given E.
 
     kappa0 is the large root of the left-end quadratic and
     s_* = -(small root of the right-end quadratic) - kappa0, i.e.
     s_* + kappa0 = 2(n_R+1) + sqrt(4(n_R+1)^2 + 2E). For an
     all-collapse configuration (n_L = n_R = 0) the two quadratics
-    coincide and s_* = 4 identically, for every E > 0.
+    coincide and s_* = 4 identically, for every E > 0. E may be an
+    array (a kappa0 axis): both then have its shape.
 
     Raises
     ------
     NonPositiveKappa0Error
-        If the large left root is <= 0 (signals E <= 0).
+        If the large left root is <= 0 (signals E <= 0), at the first such E.
     """
     kappa0 = endpoint_quadratic_roots(E, spec.n_left).large
-    if kappa0 <= 0.0:
-        raise _left_root_error(kappa0, E)
-    return kappa0, _interval_length(E, kappa0, spec)
-
-
-def _interval_length(E, kappa0, spec):
-    """s_* = -(small root of the right-end quadratic) - kappa0."""
-    return -endpoint_quadratic_roots(E, spec.n_right).small - kappa0
+    k = _first(kappa0 <= 0.0)
+    if k is not None:
+        raise _left_root_error(np.ravel(kappa0)[k], np.ravel(E)[k])
+    return kappa0, -endpoint_quadratic_roots(E, spec.n_right).small - kappa0
 
 
 def coefficients_A(E, kappa0, s_star, spec: BundleSpec, root_signs=None) -> tuple:
@@ -187,11 +185,16 @@ def coefficients_A(E, kappa0, s_star, spec: BundleSpec, root_signs=None) -> tupl
 
 
 def params_from_kappa0(
-    kappa0: float, spec: BundleSpec, kappa1: float = 1.0, root_signs=None
+    kappa0, spec: BundleSpec, kappa1: float = 1.0, root_signs=None
 ) -> SolutionParams:
-    """Assemble the full parameter set from the single free scalar kappa0."""
+    """Assemble the full parameter set from the single free scalar kappa0.
+
+    kappa0 may be an array, such as a (K, 1) column of kappa0 rows: every
+    field but kappa1 then has its shape, each entry the scalar call's
+    value. Raises the NonPositiveKappa0Error of kappa0_and_sstar.
+    """
     E = energy_from_kappa0(kappa0, spec.n_left)
-    k0, s_star = kappa0_and_sstar(E, spec)
+    _, s_star = kappa0_and_sstar(E, spec)
     A = coefficients_A(E, kappa0, s_star, spec, root_signs=root_signs)
     return SolutionParams(
         kappa0=kappa0, kappa1=kappa1, E=E, mu=E * kappa1 * kappa1, s_star=s_star, A=A
@@ -199,35 +202,20 @@ def params_from_kappa0(
 
 
 def rows_from_kappa0(kappa0, spec: BundleSpec, root_signs=None):
-    """params_from_kappa0 at every kappa0 of a 1-D array, as kappa0 rows.
+    """params_from_kappa0 at every kappa0 of a 1-D array that has a positive left root.
 
-    Returns (params, live, errors). params is a SolutionParams with
-    kappa1 = 1 whose other fields are (K, 1) columns, one row for each
-    kappa0[live]: the values params_from_kappa0 gives there, bit for
-    bit. errors has one entry per kappa0: None for a row in live, else
-    the NonPositiveKappa0Error that params_from_kappa0 raises there.
+    Returns (params, live, errors). params is params_from_kappa0 on the
+    (K, 1) column kappa0[live, None], with kappa1 = 1: the kappa0 rows.
+    errors has one entry per kappa0: None for a row in live, else the
+    NonPositiveKappa0Error that params_from_kappa0 raises there.
     """
     kappa0 = np.asarray(kappa0, dtype=float)
     E = energy_from_kappa0(kappa0, spec.n_left)
     left = endpoint_quadratic_roots(E, spec.n_left).large
-    errors, live = [None] * kappa0.size, np.arange(kappa0.size)
     failed = left <= 0.0
-    if np.count_nonzero(failed):
-        for k in np.flatnonzero(failed):
-            errors[k] = _left_root_error(left[k], E[k])
-        live = np.flatnonzero(~failed)
-        kappa0, E, left = kappa0[live], E[live], left[live]
-    s_star = _interval_length(E, left, spec)
-    A = coefficients_A(E, kappa0, s_star, spec, root_signs=root_signs)
-    params = SolutionParams(
-        kappa0=kappa0[:, None],
-        kappa1=1.0,
-        E=E[:, None],
-        mu=E[:, None],
-        s_star=s_star[:, None],
-        A=tuple(a[:, None] for a in A),
-    )
-    return params, live, errors
+    errors = [_left_root_error(x, e) if bad else None for x, e, bad in zip(left, E, failed)]
+    live = np.flatnonzero(~failed)
+    return params_from_kappa0(kappa0[live, None], spec, root_signs=root_signs), live, errors
 
 
 def take_rows(params: SolutionParams, rows) -> SolutionParams:

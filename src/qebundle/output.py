@@ -99,8 +99,9 @@ def _real(name, value):
 def _checked_params(params: cf.SolutionParams) -> cf.SolutionParams:
     """params with every entry a float, after checking that each is a real number.
 
-    kappa1 must also be finite and positive: nothing downstream checks
-    its sign (every residual is invariant under it) and it scales phi.
+    kappa1 and s_star must also be finite and positive: nothing
+    downstream checks the sign of kappa1 (every residual is invariant
+    under it) and it scales phi, and every grid spans [0, s_star].
     A NaN or an infinity elsewhere is left to the positivity checks.
     """
     if not isinstance(params.A, tuple):
@@ -108,19 +109,22 @@ def _checked_params(params: cf.SolutionParams) -> cf.SolutionParams:
     names = ("kappa0", "kappa1", "E", "mu", "s_star")
     values = {name: _real(name, getattr(params, name)) for name in names}
     A = tuple(_real(f"A[{i}]", a) for i, a in enumerate(params.A))
-    if not (0.0 < values["kappa1"] < math.inf):
-        raise ValueError(f"params.kappa1 must be finite and positive, got {values['kappa1']!r}")
+    for name in ("kappa1", "s_star"):
+        if not (0.0 < values[name] < math.inf):
+            raise ValueError(f"params.{name} must be finite and positive, got {values[name]!r}")
     return dataclasses.replace(params, **values, A=A)
 
 
 def solution_from_dict(doc: dict):
     """Rebuild (spec, SolvedProfile, SolverConfig) from solution JSON.
 
-    Raises ValueError if the spec fails validation, config or params is
-    not an object, config fails SolverConfig's checks, a params entry is
-    not a real number, kappa1 is not finite and positive, or params.A
-    does not hold one coefficient per factor.
+    Raises ValueError if doc, config or params is not an object, the
+    spec fails validation, config fails SolverConfig's checks, a params
+    entry is not a real number, kappa1 or s_star is not finite and
+    positive, or params.A does not hold one coefficient per factor.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a solution file must hold a JSON object, got {doc!r}")
     spec = spec_from_dict(doc["spec"])
     require_valid_spec(spec)
     config = _from_json(sv.SolverConfig, doc["config"])

@@ -76,13 +76,13 @@ class SolverConfig:
 
     def __post_init__(self):
         lo, hi = self.bracket
-        if not (0.0 < lo < hi < math.inf):
+        if isinstance(lo, bool) or isinstance(hi, bool) or not (0.0 < lo < hi < math.inf):
             raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {self.bracket}")
         if not isinstance(self.scan_points, int) or isinstance(self.scan_points, bool):
             raise ValueError(f"scan_points must be an int, got {self.scan_points!r}")
         if self.scan_points < 2:
             raise ValueError("scan_points must be at least 2")
-        if not (0.0 < self.root_tol < math.inf):
+        if isinstance(self.root_tol, bool) or not (0.0 < self.root_tol < math.inf):
             raise ValueError(f"root_tol must satisfy 0 < root_tol < inf, got {self.root_tol!r}")
 
 
@@ -162,7 +162,8 @@ def _piece_integrals(params, spec, cuts):
 
 # Fixed-order rule for alpha: 16-point Gauss-Legendre panels, 64 across
 # [0, s_*], split evenly between the two single-signed sides of the
-# integrand when it changes sign inside.
+# integrand's sign change, or between the halves of [0, s_*] when it has
+# none inside.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 ALPHA_PANELS = 64
 # Intervals integrated per vectorised block (8 rows of a scan): keeps
@@ -290,19 +291,14 @@ def _even_edges(lo, hi, panels):
 def _panel_edges(s_star, brk):
     """ALPHA_PANELS + 1 panel edges on [0, s_*] for each entry of the 1-D s_star.
 
-    Evenly spaced, or, where the break brk is not NaN, half the panels
-    evenly on either side of it.
+    Half the panels evenly on either side of the break brk, or of s_*/2
+    where brk is NaN (no sign change inside).
     """
-    split = ~np.isnan(brk)
-    if split.all():
-        half = ALPHA_PANELS // 2
-        return np.concatenate(
-            [_even_edges(0.0, brk, half), _even_edges(brk, s_star, half)[:, 1:]], axis=1
-        )
-    edges = _even_edges(0.0, s_star, ALPHA_PANELS)
-    if split.any():
-        edges[split] = _panel_edges(s_star[split], brk[split])
-    return edges
+    half = ALPHA_PANELS // 2
+    mid = np.where(np.isnan(brk), 0.5 * s_star, brk)
+    return np.concatenate(
+        [_even_edges(0.0, mid, half), _even_edges(mid, s_star, half)[:, 1:]], axis=1
+    )
 
 
 def _alpha_tables(params, spec):
@@ -310,8 +306,8 @@ def _alpha_tables(params, spec):
 
     One (K, ALPHA_PANELS + 1) array each, a row for each kappa0 row of
     params (see closedform.rows_from_kappa0), or one row for a single
-    profile. A row whose integrand changes sign inside has half its
-    panels on either side.
+    profile. Each row has half its panels on either side of the
+    integrand's sign change, or of s_*/2 where it has none inside.
     """
     s_star = np.asarray(params.s_star, dtype=float).reshape(-1)
     brk = _integral_break(params, spec).reshape(-1)

@@ -420,8 +420,10 @@ def verify_t_system(
         f../f + sum_i (2 n_i f. g_i./(f g_i) - n_i q_i^2 f^2/(2 g_i^4))
              + m f. v./(f v) - eps/2
 
-    over the interior window t in [0.1 l, 0.9 l]. Finite-difference
-    limited; expected below 1e-4 for certified profiles.
+    over the interior window t in [0.1 l, 0.9 l]. Limited by the O(h^4)
+    error of the quartic window fits: on 99 certified profiles of mixed
+    shapes, all were below TOL_T_SYSTEM at grid_size 513 (at most 0.14
+    of it), while at the default 257 ten exceeded it, by up to 2.25x.
     """
     mp = reconstruct_t(params, spec, grid_size)
     _, val, d1, d2 = _window_fits(mp, np.column_stack([mp.f, mp.v, mp.g]))

@@ -419,11 +419,13 @@ def _edited_solution(solution_file, tmp_path, edit):
     return str(path)
 
 
-def test_cli_nan_sstar_is_a_positivity_failure(solution_file, tmp_path, capsys):
+def test_cli_nan_coefficient_is_a_positivity_failure(solution_file, tmp_path, capsys):
     # NaN is not positive: profile writes nothing, verify is not certified
-    path = _edited_solution(
-        solution_file, tmp_path, lambda doc: doc["params"].update(s_star=float("nan"))
-    )
+    # (a NaN s_star is refused on read, see the test below)
+    def nan_coefficient(doc):
+        doc["params"]["A"][0] = float("nan")
+
+    path = _edited_solution(solution_file, tmp_path, nan_coefficient)
     csv_path, svg_path = tmp_path / "p.csv", tmp_path / "p.svg"
     assert main(["profile", path, "--csv", str(csv_path), "--svg", str(svg_path)]) == 4
     assert "profile FAILED: alpha(" in capsys.readouterr().err
@@ -477,6 +479,21 @@ def test_cli_solution_spec_is_validated_on_read(solution_file, tmp_path, capsys,
             {"config": {"root_tol": None}},
             "SolverConfig: '<' not supported between instances of 'float' and 'NoneType'",
         ),
+        ({"config": {"root_tol": True}}, "root_tol must satisfy 0 < root_tol < inf, got True"),
+        (
+            {"config": {"bracket": [True, 1e3]}},
+            "bracket must satisfy 0 < lo < hi < inf, got (True, 1000.0)",
+        ),
+        ({"params": {"s_star": 0.0}}, "params.s_star must be finite and positive, got 0.0"),
+        ({"params": {"s_star": -1}}, "params.s_star must be finite and positive, got -1.0"),
+        (
+            {"params": {"s_star": float("inf")}},
+            "params.s_star must be finite and positive, got inf",
+        ),
+        (
+            {"params": {"s_star": float("nan")}},
+            "params.s_star must be finite and positive, got nan",
+        ),
     ],
     ids=[
         "string-kappa0",
@@ -489,6 +506,12 @@ def test_cli_solution_spec_is_validated_on_read(solution_file, tmp_path, capsys,
         "string-scan_points",
         "bracket=5",
         "root_tol=null",
+        "root_tol=true",
+        "bool-bracket",
+        "s_star=0",
+        "s_star=-1",
+        "s_star=inf",
+        "s_star=nan",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "profile"])
@@ -514,6 +537,19 @@ def test_cli_solution_params_are_checked_on_read(
     args = ["--grid", "64"] if command == "verify" else ["--csv", str(csv_path)]
     assert main([command, path, *args]) == 2
     assert message in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("doc", [[], 3, "x"], ids=["list", "number", "string"])
+@pytest.mark.parametrize("command", ["verify", "profile"])
+def test_cli_solution_file_must_hold_an_object(tmp_path, capsys, command, doc):
+    # a top-level list used to end in a TypeError traceback from doc["spec"] (exit 1)
+    path = tmp_path / "sol.json"
+    dump_json(doc, str(path))
+    csv_path = tmp_path / "p.csv"
+    args = ["--grid", "64"] if command == "verify" else ["--csv", str(csv_path)]
+    assert main([command, str(path), *args]) == 2
+    assert f"a solution file must hold a JSON object, got {doc!r}" in capsys.readouterr().err
     assert not csv_path.exists()
 
 

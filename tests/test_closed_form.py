@@ -132,6 +132,36 @@ def test_nonpositive_kappa0_rejected():
         kappa0_and_sstar(0.0, spec)
 
 
+def _scalar_message(call, x):
+    with pytest.raises(NonPositiveKappa0Error) as err:
+        call(x)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("spec_name", ["ref_spec", "blow_spec", "right_spec", "both_spec"])
+def test_params_on_a_kappa0_column_are_the_scalar_calls_bit_for_bit(request, spec_name):
+    # a (K, 1) column of kappa0 rows is only a shape: every field of each
+    # row is the scalar call's value to the bit, and an array with rows that
+    # have no positive left root raises the first one's scalar error
+    spec = request.getfixturevalue(spec_name)
+    kappa0 = np.geomspace(1e-3, 1e3, 64)
+    rows = params_from_kappa0(kappa0[:, None], spec, kappa1=2.0)
+    scalar = [params_from_kappa0(float(k0), spec, kappa1=2.0) for k0 in kappa0]
+    want = np.array([[p.kappa0, p.E, p.mu, p.s_star, *p.A] for p in scalar])
+    got = np.hstack([rows.kappa0, rows.E, rows.mu, rows.s_star, *rows.A])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rows.kappa1 == 2.0
+
+    bad = np.array([1.0, 1e-20, -0.5, 2.0])  # 1e-20 is the first left root of 0.0
+    with pytest.raises(NonPositiveKappa0Error) as err:
+        params_from_kappa0(bad[:, None], spec)
+    assert str(err.value) == _scalar_message(lambda k0: params_from_kappa0(k0, spec), 1e-20)
+    E = energy_from_kappa0(bad, spec.n_left)
+    with pytest.raises(NonPositiveKappa0Error) as err:
+        kappa0_and_sstar(E, spec)
+    assert str(err.value) == _scalar_message(lambda e: kappa0_and_sstar(e, spec), E[1])
+
+
 # ---------------------------------------------------------------------------
 # Quadratic coefficients A_i
 # ---------------------------------------------------------------------------

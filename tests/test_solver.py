@@ -60,6 +60,9 @@ def test_config_defaults():
         {"scan_points": 64.0},
         {"scan_points": "64"},
         {"scan_points": True},
+        {"root_tol": True},
+        {"bracket": (True, 1e3)},
+        {"bracket": (1e-3, True)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -678,17 +681,16 @@ def test_solve_calls_the_scalar_defect_only_in_the_root_polish(ref_spec, monkeyp
 
 
 def test_panel_edges_are_linspace_bit_for_bit():
-    # the table's edges are written out in linspace's arithmetic
+    # the table's edges are written out in linspace's arithmetic: half the
+    # panels on either side of the break, or of s_*/2 where it is NaN
     rng = np.random.default_rng(5)
     s_star = rng.uniform(1e-3, 1e3, 500)
     brk = np.where(rng.random(500) < 0.5, s_star * rng.random(500), np.nan)
     edges = sv._panel_edges(s_star, brk)
+    half = sv.ALPHA_PANELS // 2
     for e, s, b in zip(edges, s_star, brk):
-        if np.isnan(b):
-            want = np.linspace(0.0, s, sv.ALPHA_PANELS + 1)
-        else:
-            half = sv.ALPHA_PANELS // 2
-            want = np.concatenate([np.linspace(0.0, b, half + 1), np.linspace(b, s, half + 1)[1:]])
+        mid = 0.5 * s if np.isnan(b) else b
+        want = np.concatenate([np.linspace(0.0, mid, half + 1), np.linspace(mid, s, half + 1)[1:]])
         assert np.array_equal(e, want)
 
 
