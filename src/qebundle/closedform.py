@@ -114,11 +114,6 @@ def energy_from_kappa0(kappa0, n_left: int):
     return 0.5 * kappa0 * kappa0 + 2.0 * (n_left + 1) * kappa0
 
 
-def _left_root_error(kappa0, E):
-    """The error for a large left root kappa0 <= 0 at this E."""
-    return NonPositiveKappa0Error(f"large left root {float(kappa0)} <= 0 (E={float(E)})")
-
-
 def kappa0_and_sstar(E, spec: BundleSpec) -> tuple:
     """Endpoint shift and interval length for a given E.
 
@@ -137,7 +132,8 @@ def kappa0_and_sstar(E, spec: BundleSpec) -> tuple:
     kappa0 = endpoint_quadratic_roots(E, spec.n_left).large
     k = _first(kappa0 <= 0.0)
     if k is not None:
-        raise _left_root_error(np.ravel(kappa0)[k], np.ravel(E)[k])
+        kappa0, E = float(np.ravel(kappa0)[k]), float(np.ravel(E)[k])
+        raise NonPositiveKappa0Error(f"large left root {kappa0} <= 0 (E={E})")
     return kappa0, -endpoint_quadratic_roots(E, spec.n_right).small - kappa0
 
 
@@ -204,18 +200,14 @@ def params_from_kappa0(
 def rows_from_kappa0(kappa0, spec: BundleSpec, root_signs=None):
     """params_from_kappa0 at every kappa0 of a 1-D array that has a positive left root.
 
-    Returns (params, live, errors). params is params_from_kappa0 on the
-    (K, 1) column kappa0[live, None], with kappa1 = 1: the kappa0 rows.
-    errors has one entry per kappa0: None for a row in live, else the
-    NonPositiveKappa0Error that params_from_kappa0 raises there.
+    Returns (params, live): live indexes the kappa0 where
+    params_from_kappa0 does not raise, and params is params_from_kappa0
+    on the (K, 1) column kappa0[live, None], with kappa1 = 1: the kappa0 rows.
     """
     kappa0 = np.asarray(kappa0, dtype=float)
-    E = energy_from_kappa0(kappa0, spec.n_left)
-    left = endpoint_quadratic_roots(E, spec.n_left).large
-    failed = left <= 0.0
-    errors = [_left_root_error(x, e) if bad else None for x, e, bad in zip(left, E, failed)]
-    live = np.flatnonzero(~failed)
-    return params_from_kappa0(kappa0[live, None], spec, root_signs=root_signs), live, errors
+    left = endpoint_quadratic_roots(energy_from_kappa0(kappa0, spec.n_left), spec.n_left).large
+    live = np.flatnonzero(~(left <= 0.0))
+    return params_from_kappa0(kappa0[live, None], spec, root_signs=root_signs), live
 
 
 def take_rows(params: SolutionParams, rows) -> SolutionParams:
@@ -294,44 +286,36 @@ def V(s, params: SolutionParams, spec: BundleSpec):
     return math.prod(b**fac.n for b, fac in zip(beta(s, params, spec), spec.factors))
 
 
-def beta_errors(params: SolutionParams, spec: BundleSpec) -> list:
-    """The PositivityError of each kappa0 row of params, or None where it has none.
+def _end_betas(params: SolutionParams, spec: BundleSpec):
+    """The ends 0 and s_* of each kappa0 row of params (K, 2), and every beta_i there (r, K, 2).
 
-    params holds kappa0 rows (see rows_from_kappa0), or is one profile,
-    a single row. Each beta_i is A_i x^2 - c with vertex at x = 0,
-    which lies outside [kappa0, kappa0 + s_*] since kappa0 > 0; beta_i
-    is therefore monotone on the interval and positivity on (0, s_*)
-    reduces to its values at the two ends (blowdown factors are
-    required to vanish at their own end and checked on the open side
-    only). A row fails at its first factor and end where
-    not (beta > 0), so a NaN fails.
+    params holds kappa0 rows (see rows_from_kappa0), or is one profile.
+    Each beta_i is A_i x^2 - c with vertex at x = 0, outside
+    [kappa0, kappa0 + s_*] since kappa0 > 0, so it is monotone there and
+    positive on (0, s_*) iff at both ends. A blowdown factor vanishes at
+    its own end by construction, which reads +inf.
     """
     s_star = np.reshape(params.s_star, (-1, 1))
     ends = np.concatenate([np.zeros_like(s_star), s_star], axis=1)
-    vals = beta(ends, params, spec)  # (r, K, 2): each factor at both ends of each row
+    vals = beta(ends, params, spec)
     if spec.left is EndpointType.BLOWDOWN:
         vals[0, :, 0] = np.inf
     if spec.right is EndpointType.BLOWDOWN:
         vals[-1, :, 1] = np.inf
-    good = vals > 0.0
-    errors = [None] * ends.shape[0]
-    if np.count_nonzero(good) == good.size:
-        return errors
-    for k in np.flatnonzero(~good.all(axis=(0, 2))):
-        i, j = np.argwhere(~good[:, k])[0]
-        s, value = float(ends[k, j]), float(vals[i, k, j])
-        kappa0 = float(np.reshape(params.kappa0, -1)[k])
-        errors[k] = PositivityError(
+    return ends, vals
+
+
+def require_positive_beta(params: SolutionParams, spec: BundleSpec):
+    """Raise PositivityError at one profile's first factor, then end, where not (beta_i > 0)."""
+    ends, vals = _end_betas(params, spec)
+    bad = ~(vals[:, 0] > 0.0)
+    if np.count_nonzero(bad):
+        i, j = np.argwhere(bad)[0]
+        s, value = float(ends[0, j]), float(vals[i, 0, j])
+        kappa0 = float(np.reshape(params.kappa0, -1)[0])
+        raise PositivityError(
             f"beta_{i + 1} = {value:.3e} is not positive at s = {s:.6g} (kappa0 = {kappa0:.6g})",
             factor=int(i) + 1,
             s=s,
             value=value,
         )
-    return errors
-
-
-def require_positive_beta(params: SolutionParams, spec: BundleSpec):
-    """Raise the PositivityError of beta_errors' first offender, if any."""
-    error = beta_errors(params, spec)[0]
-    if error is not None:
-        raise error

@@ -34,8 +34,8 @@ class NoSignChangeError(QEError):
     """The boundary defect never changes sign over the scanned bracket.
 
     ``scan_table`` holds (kappa0, defect) pairs so the caller can widen
-    the bracket with full information; NaN defects mark positivity
-    failures, or a left root that is not positive, at that kappa0.
+    the bracket with full information; a NaN defect marks a positivity
+    failure, a left root that is not positive, or an overflow.
     """
 
     def __init__(self, message, scan_table=None):

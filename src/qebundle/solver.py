@@ -36,10 +36,10 @@ the smallest root as the primary profile. The scan is one array call
 (_defects): the closed forms, the beta check and the table carry a
 leading kappa0 axis, and every row that passes the checks is
 integrated in the same blocks of _GL_BLOCK panels. Brent's method
-calls the scalar boundary_defect, the one-row case of that code, so
-each scan row equals the scalar defect bit for bit. Scan points where
-positivity or the closed form fails are recorded as NaN rows, not
-fatal errors.
+calls the scalar boundary_defect, which runs the same closed forms,
+check and table on one profile, so each scan row equals it bit for
+bit. Only the scalar call raises: a scan row that fails a check is a
+NaN, and the scan's mask of checked rows tells an overflow from it.
 
 Both numerical pieces are written here on numpy alone, so numpy is the
 only runtime dependency.
@@ -402,27 +402,23 @@ def boundary_slopes(params, spec):
 
 
 def _defects(kappa0, spec, root_signs=None):
-    """boundary_defect at every kappa0 of a 1-D array, and the error of each row that has one.
+    """boundary_defect at every kappa0 of a 1-D array, and where the checks passed.
 
-    Row k is boundary_defect(kappa0[k]) bit for bit: the same closed
-    forms and checks with a kappa0 axis, and one table build for all
-    rows that pass them. errors has one entry per kappa0: None, or the
-    NonPositiveKappa0Error or PositivityError that boundary_defect
-    raises there, where the defect is NaN.
+    Returns (defects, checked). Where checked[k], row k passed the
+    left-root and beta checks and is boundary_defect(kappa0[k]) bit for
+    bit, from one table build for all such rows; it is not finite only
+    if it overflowed. Elsewhere it is NaN, where boundary_defect raises.
     """
     defects = np.full(np.shape(kappa0), np.nan)
-    params, live, errors = cf.rows_from_kappa0(kappa0, spec, root_signs=root_signs)
-    passed = []
-    for row, (k, error) in enumerate(zip(live, cf.beta_errors(params, spec))):
-        if error is None:
-            passed.append(row)
-        else:
-            errors[k] = error
-    if len(passed) < len(live):
-        params, live = cf.take_rows(params, passed), live[passed]
+    params, live = cf.rows_from_kappa0(kappa0, spec, root_signs=root_signs)
+    passed = (cf._end_betas(params, spec)[1] > 0.0).all(axis=(0, 2))
+    if not passed.all():
+        params, live = cf.take_rows(params, np.flatnonzero(passed)), live[passed]
+    checked = np.zeros(np.shape(kappa0), dtype=bool)
+    checked[live] = True
     if len(live):
         defects[live] = _alpha_tables(params, spec)[1][:, -1]
-    return defects, errors
+    return defects, checked
 
 
 def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
@@ -431,21 +427,19 @@ def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
     The zero set of D matches that of alpha(s_*) wherever the dropped
     prefactor is finite and positive. D is the last entry of the alpha
     table (see _alpha_tables), so the root is found on the same rule
-    that alpha is evaluated with. This is the one-row case of the scan
-    in ``solve``, which tabulates every kappa0 of its grid in one call.
+    that alpha is evaluated with. This is the one-profile chain of
+    ``solve`` and ``verify``; the scan (_defects) runs it on many rows at once.
 
     Raises
     ------
-    PositivityError
-        If some beta_i is not positive on (0, s_*) for this kappa0 (the scan in
-        ``solve`` records such points as NaN rather than aborting).
     NonPositiveKappa0Error
-        If kappa0 is too small for a positive left root (also a NaN row).
+        If kappa0 is too small for a positive left root (a NaN scan row).
+    PositivityError
+        If some beta_i is not positive on (0, s_*) (also a NaN row).
     """
-    (defect,), (error,) = _defects(np.array([kappa0], dtype=float), spec, root_signs)
-    if error is not None:
-        raise error
-    return float(defect)
+    params = cf.params_from_kappa0(kappa0, spec, root_signs=root_signs)
+    cf.require_positive_beta(params, spec)
+    return float(_alpha_table(params, spec)[1][-1])
 
 
 def _brent_step(xpre, xcur, xblk, fpre, fcur, fblk):
@@ -548,8 +542,8 @@ def solve(
         If the spec fails validation (precondition).
     NoSignChangeError
         If the defect never changes sign between neighbouring scan
-        points. The message says so when every finite scan row has one
-        sign, and the error carries the scan table.
+        points. The message names the scan rows that overflowed, or else
+        says so when every finite row has one sign; it carries the table.
     PositivityError
         If alpha is not positive (or NaN) at one of 64 interior points
         of the profile at the returned root.
@@ -559,26 +553,28 @@ def solve(
 
     lo, hi = config.bracket
     grid = np.geomspace(lo, hi, config.scan_points)
-    defects, _ = _defects(grid, spec, root_signs)  # NaN rows where the checks fail
+    defects, checked = _defects(grid, spec, root_signs)  # NaN rows where the checks fail
 
-    sign_changes = []
-    for k in range(len(grid) - 1):
-        d0, d1 = defects[k], defects[k + 1]
-        if np.isnan(d0) or np.isnan(d1):
-            continue
-        if d0 == 0.0:
-            sign_changes.append((float(grid[k]), float(grid[k])))
-        elif np.sign(d0) == -np.sign(d1):  # d0 * d1 can overflow at large m
-            sign_changes.append((float(grid[k]), float(grid[k + 1])))
-    if len(grid) and defects[-1] == 0.0:
+    # An exact zero d0 is its own interval (k, k); d0 * d1 can overflow at large m.
+    d0, d1 = defects[:-1], defects[1:]
+    hits = np.flatnonzero(~np.isnan(d1) & ((d0 == 0.0) | (np.sign(d0) == -np.sign(d1))))
+    sign_changes = [(float(grid[k]), float(grid[k + (d0[k] != 0.0)])) for k in hits]
+    if defects[-1] == 0.0:
         sign_changes.append((float(grid[-1]), float(grid[-1])))
 
     if not sign_changes:
         table = "\n".join(
             f"  kappa0 = {g:12.6g}   defect = {d:.6e}" for g, d in zip(grid, defects)
         )
-        finite = defects[~np.isnan(defects)]
-        if finite.size and (np.all(finite > 0.0) or np.all(finite < 0.0)):
+        finite = defects[np.isfinite(defects)]
+        overflowed = grid[checked & ~np.isfinite(defects)]
+        if overflowed.size:
+            summary = (
+                f"boundary defect overflowed on {overflowed.size} scan rows, kappa0 in "
+                f"[{overflowed[0]:g}, {overflowed[-1]:g}]; its {finite.size} finite rows over "
+                f"[{lo:g}, {hi:g}] show no sign change, so no root was found in this scan."
+            )
+        elif finite.size and (np.all(finite > 0.0) or np.all(finite < 0.0)):
             # A finding about this scan only: nothing is known past the bracket.
             sign = "positive" if finite[0] > 0.0 else "negative"
             summary = (

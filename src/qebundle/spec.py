@@ -112,17 +112,21 @@ def validate_spec(spec: BundleSpec) -> list:
         # bool is an int subclass, but True is not a dimension
         return isinstance(x, int) and not isinstance(x, bool)
 
-    # The rules after the type checks read n, p, q as integers: they
-    # skip a factor with non-integer data, and an end blown down on one.
+    # The rules after the type checks read n, p, q as integers (with an
+    # exact float: at most 2**53): they skip a factor with other data,
+    # and an end blown down on one.
     typed = set()
     for i, fac in enumerate(spec.factors, start=1):
+        found = len(violations)
         if not integer(fac.n) or fac.n < 1:
             violations.append(f"factor {i}: n must be a positive integer, got {fac.n!r}")
         if not integer(fac.p) or fac.p < 1:
             violations.append(f"factor {i}: p must be a positive integer, got {fac.p!r}")
         if not integer(fac.q) or fac.q == 0:
             violations.append(f"factor {i}: q must be a nonzero integer, got {fac.q!r}")
-        if integer(fac.n) and integer(fac.p) and integer(fac.q):
+        if len(violations) == found and max(fac.n, fac.p, abs(fac.q)) > 2**53:
+            violations.append(f"factor {i}: n, p and |q| must be at most 2**53")
+        elif integer(fac.n) and integer(fac.p) and integer(fac.q):
             typed.add(i)
 
     if not math.isfinite(spec.m):

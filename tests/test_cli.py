@@ -234,6 +234,15 @@ def test_cli_validate_string_dimension(tmp_path, capsys):
     assert capsys.readouterr().err == "violation: factor 1: n must be a positive integer, got '1'\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_cli_factor_data_past_2_to_the_53_exits_2(tmp_path, capsys, command):
+    # 10**400 has no float: solve stopped in coefficients_A with an OverflowError
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(REF_DOC, factors=[{"n": 10**400, "p": 10**400 + 1, "q": 1}])))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "violation: factor 1: n, p and |q| must be at most 2**53\n"
+
+
 def test_cli_missing_file_is_internal_error(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 

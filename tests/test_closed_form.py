@@ -25,7 +25,7 @@ from qebundle import (
     sample_at,
     V,
 )
-from qebundle.closedform import beta_errors
+from qebundle.closedform import require_positive_beta
 
 COLLAPSE = EndpointType.SMOOTH_COLLAPSE
 BLOWDOWN = EndpointType.BLOWDOWN
@@ -328,8 +328,8 @@ def test_ansatz_identity_holds_pointwise(ref_profile, ref_spec):
 
 
 def test_positivity_check_accepts_solved_profiles(ref_profile, ref_spec, blow_profile, blow_spec):
-    assert beta_errors(ref_profile.params, ref_spec) == [None]
-    assert beta_errors(blow_profile.params, blow_spec) == [None]
+    assert require_positive_beta(ref_profile.params, ref_spec) is None
+    assert require_positive_beta(blow_profile.params, blow_spec) is None
 
 
 def test_positivity_check_flags_broken_coefficients(ref_profile, ref_spec):
@@ -339,10 +339,10 @@ def test_positivity_check_flags_broken_coefficients(ref_profile, ref_spec):
     bad = SolutionParams(
         kappa0=p.kappa0, kappa1=p.kappa1, E=p.E, mu=p.mu, s_star=p.s_star, A=(1e-4,)
     )
-    (error,) = beta_errors(bad, ref_spec)
-    assert error is not None
-    assert error.factor == 1
-    assert error.value <= 0.0
+    with pytest.raises(PositivityError) as err:
+        require_positive_beta(bad, ref_spec)
+    assert err.value.factor == 1
+    assert err.value.value <= 0.0
 
 
 @pytest.mark.parametrize("spec_name", ["ref_spec", "blow_spec", "right_spec", "both_spec"])
@@ -366,8 +366,11 @@ def test_positivity_check_matches_factor_by_factor_reference(request, spec_name)
             if not forced.get((i, j)) and value <= 0.0:
                 want = {"factor": i + 1, "s": s, "value": value}
                 break
-        (error,) = beta_errors(p, spec)
-        got = error and {"factor": error.factor, "s": error.s, "value": error.value}
+        try:
+            require_positive_beta(p, spec)
+            got = None
+        except PositivityError as error:
+            got = {"factor": error.factor, "s": error.s, "value": error.value}
         assert got == want
         outcomes.add(want is None)
     assert outcomes == {True, False}

@@ -27,8 +27,9 @@ from qebundle import (
     sample_at,
     solve,
 )
+from qebundle import closedform as cf
 from qebundle import solver as sv
-from qebundle.closedform import beta_errors, params_from_kappa0
+from qebundle.closedform import params_from_kappa0, require_positive_beta
 from qebundle.verifier import chebyshev_grid
 
 COLLAPSE = EndpointType.SMOOTH_COLLAPSE
@@ -146,6 +147,27 @@ def test_defect_positivity_guard_fires_on_invalid_spec():
         boundary_defect(300.0, spec)
 
 
+@pytest.mark.parametrize("spec_name", ["ref_spec", "blow_spec", "right_spec"])
+def test_boundary_defect_evaluates_each_closed_form_once(request, spec_name, monkeypatch):
+    # one profile: E once, and the endpoint quadratic once at each end
+    spec = request.getfixturevalue(spec_name)
+    calls = []
+    energy, roots = cf.energy_from_kappa0, cf.endpoint_quadratic_roots
+
+    def counted_energy(kappa0, n_left):
+        calls.append("E")
+        return energy(kappa0, n_left)
+
+    def counted_roots(E, n_end):
+        calls.append(n_end)
+        return roots(E, n_end)
+
+    monkeypatch.setattr(cf, "energy_from_kappa0", counted_energy)
+    monkeypatch.setattr(cf, "endpoint_quadratic_roots", counted_roots)
+    boundary_defect(5.0, spec)
+    assert calls == ["E", spec.n_left, spec.n_right]
+
+
 def test_alpha_positivity_rule_fails_nan():
     # one rule for alpha: the first point where not (alpha > 0)
     s = np.array([1.0, 2.0, 3.0])
@@ -158,9 +180,9 @@ def test_alpha_positivity_rule_fails_nan():
 
 def test_beta_positivity_check_fails_nan(ref_profile, ref_spec):
     p = ref_profile.params
-    (error,) = beta_errors(dataclasses.replace(p, s_star=math.nan), ref_spec)
-    assert error is not None
-    assert error.factor == 1 and math.isnan(error.value)
+    with pytest.raises(PositivityError) as err:
+        require_positive_beta(dataclasses.replace(p, s_star=math.nan), ref_spec)
+    assert err.value.factor == 1 and math.isnan(err.value.value)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +465,11 @@ def test_scan_sign_changes_match_adaptive_quadrature(name):
     defects = np.full(grid.shape, np.nan)
     for k, kappa0 in enumerate(grid):
         p = params_from_kappa0(float(kappa0), spec)
-        if beta_errors(p, spec)[0] is None:
-            defects[k] = _quad_split(p, spec, p.s_star, 1e-12)
+        try:
+            require_positive_beta(p, spec)
+        except PositivityError:
+            continue
+        defects[k] = _quad_split(p, spec, p.s_star, 1e-12)
     want = tuple(
         (float(grid[k]), float(grid[k + 1]))
         for k in range(len(grid) - 1)
@@ -607,18 +632,18 @@ def _scalar_scan(grid, spec, root_signs=None):
 
 
 def _assert_scan_is_scalar(grid, spec, root_signs=None):
-    defects, errors = sv._defects(grid, spec, root_signs)
+    defects, checked = sv._defects(grid, spec, root_signs)
     want, raised = _scalar_scan(grid, spec, root_signs)
     assert np.array_equal(defects, want, equal_nan=True)
-    assert [None if e is None else (type(e), str(e)) for e in errors] == raised
-    assert np.array_equal(np.isnan(defects), [e is not None for e in raised])
+    assert checked.tolist() == [e is None for e in raised]
+    assert np.array_equal(np.isnan(defects), ~checked)
     return raised
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_scan_is_the_scalar_defect_bit_for_bit(name):
     # every row of the one-call scan is the scalar call's value to the bit,
-    # and NaN exactly where the scalar call raises, with its error
+    # and unchecked and NaN exactly where the scalar call raises
     spec, root_signs = SCAN_CASES[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -635,6 +660,25 @@ def test_scan_is_the_scalar_defect_on_a_tiny_bracket(ref_spec):
         raised = _assert_scan_is_scalar(np.geomspace(1e-20, 1e3, 64), ref_spec)
     kinds = [e[0] for e in raised if e is not None]
     assert NonPositiveKappa0Error in kinds and PositivityError in kinds
+
+
+def test_overflowed_scan_rows_are_named_not_called_single_signed():
+    # at m = 150 every row passes the checks, and 11 overflow: 10 to NaN,
+    # one to -inf. The root lies among them (ROADMAP item 1), so the
+    # message names them instead of calling the defect single-signed.
+    spec = BundleSpec(factors=(FactorSpec(2, 3, 1),), m=150.0)
+    with pytest.warns(RuntimeWarning):
+        defects, checked = sv._defects(np.geomspace(1e-3, 1e3, 64), spec)
+        with pytest.raises(NoSignChangeError) as err:
+            solve(spec)
+    assert checked.all()
+    assert np.count_nonzero(np.isnan(defects)) == 10 and np.count_nonzero(defects == -np.inf) == 1
+    summary = str(err.value).splitlines()[0]
+    assert "single-signed" not in summary
+    assert summary.startswith(
+        "boundary defect overflowed on 11 scan rows, kappa0 in [111.588, 1000]; "
+        "its 53 finite rows over [0.001, 1000] show no sign change"
+    )
 
 
 @pytest.mark.parametrize("scan_points", [7, 200])

@@ -124,6 +124,32 @@ def test_non_integer_factor_data_is_reported_not_raised(doc, expected):
     assert validate_spec(spec_from_dict(doc)) == expected
 
 
+@pytest.mark.parametrize(
+    "factors, expected",
+    [
+        # 10**400 has no float at all; 2**53 + 1 has no exact one
+        ([(10**400, 10**400 + 1, 1)], ["factor 1: n, p and |q| must be at most 2**53"]),
+        ([(2, 2**53 + 1, 1)], ["factor 1: n, p and |q| must be at most 2**53"]),
+        ([(2, 3, -(2**53 + 1))], ["factor 1: n, p and |q| must be at most 2**53"]),
+        # the bound itself is allowed
+        ([(2, 2**53, 1)], []),
+        # a factor that fails a type rule keeps that rule's message alone
+        ([(-(10**400), 3, 1)], [f"factor 1: n must be a positive integer, got {-(10**400)!r}"]),
+        # the oversized factor is left out of the twisting clause, the other kept
+        (
+            [(1, 2, 1), (2**60, 3, 1), (1, 2, 2)],
+            [
+                "factor 2: n, p and |q| must be at most 2**53",
+                "factor 3: all-collapse clause needs 0 < |q| < p, got |q|=2, p=2",
+            ],
+        ),
+    ],
+    ids=["googolplex-ish", "p-past-2**53", "q-past-2**53", "p-at-2**53", "negative-n", "mixed"],
+)
+def test_factor_data_past_2_to_the_53_is_rejected(factors, expected):
+    assert validate_spec(make(factors)) == expected
+
+
 def test_zero_twisting_is_rejected():
     out = validate_spec(make([(2, 3, 0)]))
     assert any("q must be" in v for v in out)
