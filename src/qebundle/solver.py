@@ -13,11 +13,11 @@ whose integrating factor V (s+kappa0)^(m-1) gives
                * int_0^s V(r) (r+kappa0)^(m-2) (E + eps (r+kappa0)^2 / 2) dr.
 
 The integral is served from one composite Gauss-Legendre table per
-call: 16-point panels on each single-signed side of the integrand's
-sign change, their cumulative sums from 0 and from s_*, and one
-partial panel from the nearest table edge to each query point. Under
-a right blowdown alpha takes the integral from the s_* end past the
-sign change (see alpha).
+call: ALPHA_PANELS = 32 panels of 16 points, half on each single-signed
+side of the integrand's sign change, their cumulative sums from 0 and
+from s_*, and one partial panel from the nearest table edge to each
+query point. Under a right blowdown alpha takes the integral from the
+s_* end past the sign change (see alpha).
 
 alpha(0) = 0 holds by construction; the one remaining boundary
 condition alpha(s_*) = 0 becomes a scalar root-find in kappa0. The
@@ -38,8 +38,10 @@ leading kappa0 axis, and every row that passes the checks is
 integrated in the same blocks of _GL_BLOCK panels. Brent's method
 calls the scalar boundary_defect, which runs the same closed forms,
 check and table on one profile, so each scan row equals it bit for
-bit. Only the scalar call raises: a scan row that fails a check is a
-NaN, and the scan's mask of checked rows tells an overflow from it.
+bit; it takes the defects at its interval's two ends from the scan
+rows instead of calling it there again. Only the scalar call raises:
+a scan row that fails a check is a NaN, and the scan's mask of checked
+rows tells an overflow from it.
 
 Both numerical pieces are written here on numpy alone, so numpy is the
 only runtime dependency.
@@ -160,13 +162,17 @@ def _piece_integrals(params, spec, cuts):
     return ends, np.array(pieces)
 
 
-# Fixed-order rule for alpha: 16-point Gauss-Legendre panels, 64 across
+# Fixed-order rule for alpha: 16-point Gauss-Legendre panels, 32 across
 # [0, s_*], split evenly between the two single-signed sides of the
 # integrand's sign change, or between the halves of [0, s_*] when it has
-# none inside.
+# none inside. Against a 512-panel table, alpha on 109 solved profiles
+# differs by at most 3.2e-13 relative with 16 or 32 panels and 2.6e-13
+# with 64: roundoff alike. At 16, the verifier's right-blowdown tail
+# spots (0.95 s_* and 0.99 s_*) fall in the last panel, whose tail sum
+# is 0, and no longer see a broken tail table; 32 keeps 0.95 s_* before it.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-ALPHA_PANELS = 64
-# Intervals integrated per vectorised block (8 rows of a scan): keeps
+ALPHA_PANELS = 32
+# Intervals integrated per vectorised block (16 rows of a scan): keeps
 # each (block, 16) temporary of the integrand at 64 kB however many
 # points or kappa0 rows are asked. With three factors, 1024 ran the scan
 # and alpha about 1.4 times slower than 512, with a 1.7 times higher peak.
@@ -458,7 +464,7 @@ def _brent_step(xpre, xcur, xblk, fpre, fcur, fblk):
         return float(-fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
 
 
-def _brentq(f, a, b, xtol, rtol, maxiter=100):
+def _brentq(f, a, b, xtol, rtol, maxiter=100, fa=None, fb=None):
     """A root x of f in [a, b], where f(a) and f(b) differ in sign, and f(x), by Brent's method.
 
     A line-for-line port of SciPy's C brentq (R. P. Brent, Algorithms
@@ -468,7 +474,10 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
     short enough, else the step bisects, and no step is shorter than
     delta = (xtol + rtol |xcur|) / 2. An exact zero at an end is
     returned as is. f(x) is the value f returned at the root, so no
-    call is repeated for it.
+    call is repeated for it. fa and fb, where given, are f(a) and f(b)
+    already known to the caller (as solve knows them from its scan): f
+    is then not called at that end, and every later iterate and the
+    result are the same as without them.
 
     Raises ValueError if f(a) and f(b) have the same sign or f returns
     NaN, and RuntimeError after maxiter iterations.
@@ -481,7 +490,8 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = call(xpre) if fa is None else fa
+    fcur = call(xcur) if fb is None else fb
     if fpre == 0.0:
         return xpre, fpre
     if fcur == 0.0:
@@ -558,9 +568,10 @@ def solve(
     # An exact zero d0 is its own interval (k, k); d0 * d1 can overflow at large m.
     d0, d1 = defects[:-1], defects[1:]
     hits = np.flatnonzero(~np.isnan(d1) & ((d0 == 0.0) | (np.sign(d0) == -np.sign(d1))))
-    sign_changes = [(float(grid[k]), float(grid[k + (d0[k] != 0.0)])) for k in hits]
+    ends = [(k, k + int(d0[k] != 0.0)) for k in hits]
     if defects[-1] == 0.0:
-        sign_changes.append((float(grid[-1]), float(grid[-1])))
+        ends.append((grid.size - 1, grid.size - 1))
+    sign_changes = [(float(grid[i]), float(grid[j])) for i, j in ends]
 
     if not sign_changes:
         table = "\n".join(
@@ -594,17 +605,20 @@ def solve(
         )
 
     roots, root_defects = [], []
-    for a, b in sign_changes:
-        if a == b:
-            roots.append(a)
+    for i, j in ends:
+        if i == j:
+            roots.append(float(grid[i]))
             root_defects.append(0.0)  # an exact zero of the scan
             continue
+        # the scan rows at the ends are boundary_defect there, bit for bit
         root, defect = _brentq(
             lambda k0: boundary_defect(k0, spec, root_signs),
-            a,
-            b,
+            float(grid[i]),
+            float(grid[j]),
             xtol=config.root_tol,
             rtol=4.0 * np.finfo(float).eps,
+            fa=float(defects[i]),
+            fb=float(defects[j]),
         )
         roots.append(float(root))
         root_defects.append(defect)

@@ -305,6 +305,14 @@ def test_solve_both_blowdown_with_middle_factor():
     assert prof.params.s_star == pytest.approx(8.0, abs=1e-12)
 
 
+# (m, right end): the roots below on a table of 64 panels, the count before 32
+LARGE_M_ROOTS_64 = {
+    (64.0, BLOWDOWN): (468.95845130578823,),
+    (100.0, BLOWDOWN): (722.1499449723636,),
+    (100.0, COLLAPSE): (297.05971628434196,),
+}
+
+
 @pytest.mark.parametrize(
     "factors, m, right, sign_changes, roots",
     [
@@ -313,21 +321,21 @@ def test_solve_both_blowdown_with_middle_factor():
             64.0,
             BLOWDOWN,
             ((415.95621630718426, 517.9474679231203),),
-            (468.95845130578823,),
+            (468.9584513057884,),
         ),
         (
             ((1, 4, 1), (2, 3, 1)),
             100.0,
             BLOWDOWN,
             ((644.946677103762, 803.0857221391504),),
-            (722.1499449723636,),
+            (722.149944972417,),
         ),
         (
             ((2, 3, 1),),
             100.0,
             COLLAPSE,
             ((268.26957952797216, 334.04849835132444),),
-            (297.05971628434196,),
+            (297.0597162843375,),
         ),
     ],
 )
@@ -340,6 +348,7 @@ def test_scan_at_large_m_compares_signs_without_overflow(factors, m, right, sign
         prof = solve(spec)
     assert prof.all_sign_changes == sign_changes
     assert prof.roots == roots
+    assert prof.roots == pytest.approx(LARGE_M_ROOTS_64[m, right], rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +438,23 @@ TABLE_SPECS = {
         m=1.595286767410206,
         left=BLOWDOWN,
     ),
+    # the edges of m, and a right blowdown, where alpha past the sign
+    # change is the integral from the s_* end
+    "m=1.01": BundleSpec(factors=(FactorSpec(2, 3, 1),), m=1.01),
+    "m=100": BundleSpec(factors=(FactorSpec(2, 3, 1),), m=100.0),
+    "right-blowdown": BundleSpec(
+        factors=(FactorSpec(1, 4, 1), FactorSpec(2, 3, 1)), m=2.0, right=BLOWDOWN
+    ),
+    "right-blowdown-m100": BundleSpec(
+        factors=(FactorSpec(1, 4, 1), FactorSpec(2, 3, 1)), m=100.0, right=BLOWDOWN
+    ),
 }
 
 
-def _quad_split(p, spec, s, epsrel):
-    """int_0^s of the alpha integrand by scipy's adaptive quad, split at its sign change."""
+def _quad_split(p, spec, a, b, epsrel):
+    """int_a^b of the alpha integrand by scipy's adaptive quad, split at its sign change."""
     x0 = np.sqrt(2.0 * p.E) - p.kappa0
-    ends = [0.0] + ([x0] if 0.0 < x0 < s else []) + [s]
+    ends = [a] + ([x0] if a < x0 < b else []) + [b]
     return sum(
         quad(alpha_integrand, lo, hi, args=(p, spec), epsabs=0.0, epsrel=epsrel, limit=200)[0]
         for lo, hi in zip(ends[:-1], ends[1:])
@@ -445,15 +464,33 @@ def _quad_split(p, spec, s, epsrel):
 @pytest.mark.parametrize("name", sorted(TABLE_SPECS))
 def test_alpha_table_matches_adaptive_quadrature(name):
     # the fixed-order table against scipy's adaptive quad at a tight
-    # tolerance, split at the integrand's sign change like the defect
+    # tolerance, split at the integrand's sign change like the defect;
+    # under a right blowdown, past that change, from the s_* end as alpha
     spec = TABLE_SPECS[name]
     p = solve(spec).params
+    x0 = np.sqrt(2.0 * p.E) - p.kappa0
     s = np.linspace(0.0, p.s_star, 42)[1:-1]
     want = []
     for sk in s:
-        x = sk + p.kappa0
-        want.append(_quad_split(p, spec, sk, 2e-14) / (V(sk, p, spec) * x ** (spec.m - 1.0)))
+        if spec.right is BLOWDOWN and sk >= x0:
+            integral = -_quad_split(p, spec, sk, p.s_star, 2e-14)
+        else:
+            integral = _quad_split(p, spec, 0.0, sk, 2e-14)
+        want.append(integral / (V(sk, p, spec) * (sk + p.kappa0) ** (spec.m - 1.0)))
     assert np.allclose(alpha(s, p, spec), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+def test_defect_at_the_root_matches_a_finer_table(name, monkeypatch):
+    # at the root the defect is roundoff in int_0^{s_*} |integrand|; a
+    # table of four times the panels reads the same to within that
+    spec = TABLE_SPECS[name]
+    p = solve(spec).params
+    scale = np.abs(sv._piece_integrals(p, spec, ())[1]).sum()
+    ours = boundary_defect(p.kappa0, spec)
+    monkeypatch.setattr(sv, "ALPHA_PANELS", 128)
+    finer = boundary_defect(p.kappa0, spec)
+    assert abs(ours - finer) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("name", ["ref", "blowdown", "three-factor"])
@@ -469,7 +506,7 @@ def test_scan_sign_changes_match_adaptive_quadrature(name):
             require_positive_beta(p, spec)
         except PositivityError:
             continue
-        defects[k] = _quad_split(p, spec, p.s_star, 1e-12)
+        defects[k] = _quad_split(p, spec, 0.0, p.s_star, 1e-12)
     want = tuple(
         (float(grid[k]), float(grid[k + 1]))
         for k in range(len(grid) - 1)
@@ -592,6 +629,42 @@ def test_brentq_port_repeats_scipy_iterates_on_textbook_functions(name):
         except RuntimeError:
             outcomes.append(("no convergence", points))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("name", sorted(BRENT_FUNCTIONS))
+def test_brentq_with_known_end_values_skips_only_those_calls(name):
+    # f(a) and f(b) passed in: the same result bits, and the same calls
+    # but the two at the ends
+    f, a, b = BRENT_FUNCTIONS[name]
+    outcomes = []
+    for given in ({}, {"fa": f(a), "fb": f(b)}):
+        g, points = _recording(f)
+        try:
+            outcomes.append((sv._brentq(g, a, b, xtol=1e-12, rtol=1e-15, **given), points))
+        except RuntimeError as err:
+            outcomes.append((str(err), points))
+    (plain, plain_at), (known, known_at) = outcomes
+    assert known == plain
+    assert plain_at[:2] == [a, b]
+    assert known_at == plain_at[2:]
+
+
+@pytest.mark.parametrize("name", ["ref", "blowdown", "three-factor"])
+def test_root_polish_calls_the_defect_off_the_scan_grid(name, monkeypatch):
+    # Brent's method takes the defects at its interval's ends from the
+    # scan, so it evaluates none of the scan's points again
+    spec = REFERENCE_SPECS[name]
+    calls = []
+    defect = sv.boundary_defect
+
+    def counted_defect(*args):
+        calls.append(args[0])
+        return defect(*args)
+
+    monkeypatch.setattr(sv, "boundary_defect", counted_defect)
+    solve(spec)
+    assert calls
+    assert not set(calls) & set(np.geomspace(1e-3, 1e3, 64).tolist())
 
 
 def test_brentq_returns_an_exact_zero_at_an_end():
