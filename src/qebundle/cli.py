@@ -15,7 +15,7 @@ Exit codes: 0 ok, 2 invalid spec, 3 no defect root in the bracket,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 
@@ -105,7 +105,7 @@ def cmd_solve(args) -> int:
     if args.output:
         io.dump_json(doc, args.output)
     else:
-        print(json.dumps(doc, indent=2))
+        sys.stdout.write(io.json_text(doc))
     p = profile.params
     print(
         f"root kappa0 = {p.kappa0!r}  E = {p.E!r}  s_* = {p.s_star!r}  "
@@ -309,8 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as err:

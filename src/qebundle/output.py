@@ -7,11 +7,18 @@ and report JSON keys are the dataclass fields in declaration order. The
 potential u is exported under an explicit convention key because the
 source construction never states the v <-> u dictionary; we assume the
 conventional v = e^(-u/m).
+
+CSV and JSON cost about one repr per float (~1 us each), so their time
+is bound by that format; each is built as one string and written once.
+The SVG maps whole coordinate arrays to the plot box with the same
+operations, in the same order, as a per-point map, and formats each
+polyline in one join.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import typing
@@ -48,6 +55,10 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
+# Resolving a dataclass's string annotations is costly; each class is resolved once.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _from_json(cls, doc: dict):
     """Build dataclass cls from the entries of doc that its fields name.
 
@@ -58,7 +69,7 @@ def _from_json(cls, doc: dict):
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
-    types = typing.get_type_hints(cls)
+    types = _type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         tp, value = types[f.name], doc[f.name]
@@ -143,10 +154,16 @@ def report_from_dict(doc: dict) -> vf.ResidualReport:
     return _from_json(vf.ResidualReport, doc)
 
 
+def json_text(doc: dict) -> str:
+    """doc as the text of a JSON file: indented by 2, with a final newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def dump_json(doc: dict, path: str):
+    """Write json_text(doc) to path; a doc that fails to serialize leaves path untouched."""
+    text = json_text(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_json(path: str) -> dict:
@@ -189,10 +206,9 @@ def write_csv(
     mp: MetricProfile,
 ):
     rows = np.column_stack(profile_table(params, spec, mp)).tolist()
+    lines = [csv_header(spec.r), *(",".join(map(repr, row)) for row in rows)]
     with open(path, "w") as fh:
-        fh.write(csv_header(spec.r) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_csv(path: str):
@@ -240,9 +256,10 @@ def _panel_svg(out, x, series, title, y_offset):
             f'<text x="{_ML - 6}" y="{py(yv):.2f}" font-size="11" '
             f'font-family="sans-serif" text-anchor="end">{yv:.3g}</text>'
         )
+    X = px(x).tolist()  # the same doubles as px of each point
     for j, (label, y) in enumerate(series):
         color = _PALETTE[j % len(_PALETTE)]
-        pts = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, np.asarray(y)))
+        pts = " ".join(map("{:.2f},{:.2f}".format, X, py(np.asarray(y)).tolist()))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

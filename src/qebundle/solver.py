@@ -13,7 +13,8 @@ whose integrating factor V (s+kappa0)^(m-1) gives
                * int_0^s V(r) (r+kappa0)^(m-2) (E + eps (r+kappa0)^2 / 2) dr.
 
 The integral is served from one composite Gauss-Legendre table per
-call: ALPHA_PANELS = 32 panels of 16 points, half on each single-signed
+profile (the last one built is kept, see _alpha_table):
+ALPHA_PANELS = 32 panels of 16 points, half on each single-signed
 side of the integrand's sign change, their cumulative sums from 0 and
 from s_*, and one partial panel from the nearest table edge to each
 query point. Under a right blowdown alpha takes the integral from the
@@ -325,21 +326,45 @@ def _alpha_tables(params, spec):
     return edges, cum, tail
 
 
+# The last one-profile table, as (key, (edges, cum, tail)); see _alpha_table.
+_last_table = (None, None)
+
+
 def _alpha_table(params, spec):
-    """_alpha_tables for one profile: its edges, and the integral from 0 to each and to s_*."""
-    return tuple(table[0] for table in _alpha_tables(params, spec))
+    """_alpha_tables for one profile: its edges, and the integral from 0 to each and to s_*.
+
+    The last table is kept, keyed on what it depends on: kappa0, E,
+    s_star and A as Python floats, the spec and ALPHA_PANELS. Verifying
+    and exporting one profile then build one table, not one per alpha
+    call; the kept arrays are read-only.
+    """
+    global _last_table
+    key = (
+        float(params.kappa0),
+        float(params.E),
+        float(params.s_star),
+        tuple(map(float, params.A)),
+        spec,
+        ALPHA_PANELS,
+    )
+    if _last_table[0] != key:
+        tables = tuple(table[0] for table in _alpha_tables(params, spec))
+        for table in tables:
+            table.flags.writeable = False
+        _last_table = (key, tables)
+    return _last_table[1]
 
 
 def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
     """alpha(s) from the integrating-factor formula, by a Gauss-Legendre table.
 
-    Each call tabulates the integral at the panel edges of [0, s_*]
-    (see _alpha_table) and answers every point from the table value at
-    the nearest edge plus one 16-point panel from that edge. Under a
-    right blowdown, past the integrand's sign change, the integral is
-    taken from the s_* end, alpha = -int_s^{s_*} ... dr / (V x^(m-1)),
-    so V ~ (s_* - s)^(n_r) never divides roundoff; this drops the
-    defect D, about 0 at a root and recomputed by the verifier.
+    The integral is tabulated at the panel edges of [0, s_*] once per
+    profile (see _alpha_table), and every point is answered from the
+    table value at the nearest edge plus one 16-point panel from that
+    edge. Under a right blowdown, past the integrand's sign change, the
+    integral is taken from the s_* end, alpha = -int_s^{s_*} ... dr /
+    (V x^(m-1)), so V ~ (s_* - s)^(n_r) never divides roundoff; this
+    drops the defect D, about 0 at a root and recomputed by the verifier.
     alpha(0) = 0, and alpha(s_*) = 0 under a right blowdown, are
     returned exactly without quadrature. Accepts scalar or array s.
     """

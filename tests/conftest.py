@@ -70,6 +70,20 @@ def right_profile(right_spec):
 
 
 @pytest.fixture(scope="session")
+def three_spec():
+    """Factors (4, 5, 1) + (3, 7, 2) + (2, 3, 1), m = 5.5, both ends smooth collapses."""
+    return BundleSpec(
+        factors=(FactorSpec(n=4, p=5, q=1), FactorSpec(n=3, p=7, q=2), FactorSpec(n=2, p=3, q=1)),
+        m=5.5,
+    )
+
+
+@pytest.fixture(scope="session")
+def three_profile(three_spec):
+    return solve(three_spec)
+
+
+@pytest.fixture(scope="session")
 def both_spec():
     """Factors (1, 2, 1) + (1, 7, 3) + (1, 2, 1), m = 4, both ends blown down.
 

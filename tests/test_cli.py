@@ -1,6 +1,7 @@
 """Serialization formats and the command-line entry points."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 
 import qebundle
 from qebundle import SolverConfig, reconstruct_t, solve, spec_to_dict, verify
+from qebundle import cli
+from qebundle import output as io
 from qebundle.cli import main
 from qebundle.output import (
     csv_header,
@@ -19,6 +22,7 @@ from qebundle.output import (
     load_json,
     profile_table,
     read_csv,
+    render_svg,
     report_from_dict,
     report_to_dict,
     solution_from_dict,
@@ -187,6 +191,147 @@ def test_csv_boundary_rows(ref_profile, ref_spec, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Writers against per-value reference loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_csv(path, params, spec, mp):
+    """The profile CSV written one row and one repr at a time."""
+    rows = np.column_stack(profile_table(params, spec, mp)).tolist()
+    with open(path, "w") as fh:
+        fh.write(csv_header(spec.r) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _reference_json(doc, path):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _reference_panel(out, x, series, title, y_offset):
+    """One SVG panel, its polylines mapped and formatted one point at a time."""
+    W, H, ML, MR, MT, MB = 760, 300, 64, 16, 28, 40
+    palette = io._PALETTE
+    xmin, xmax = float(np.min(x)), float(np.max(x))
+    ys = np.concatenate([np.asarray(y) for _, y in series])
+    ymin, ymax = float(np.min(ys)), float(np.max(ys))
+    if ymax == ymin:
+        ymax = ymin + 1.0
+    px = lambda v: ML + (W - ML - MR) * (v - xmin) / (xmax - xmin)
+    py = lambda v: y_offset + MT + (H - MT - MB) * (ymax - v) / (ymax - ymin)
+    out.append(
+        f'<rect x="{ML}" y="{y_offset + MT}" width="{W - ML - MR}" '
+        f'height="{H - MT - MB}" fill="none" stroke="#999" stroke-width="1"/>'
+    )
+    out.append(
+        f'<text x="{ML}" y="{y_offset + MT - 8}" font-size="13" '
+        f'font-family="sans-serif">{title}</text>'
+    )
+    for k in range(5):
+        xv = xmin + k * (xmax - xmin) / 4
+        out.append(
+            f'<text x="{px(xv):.2f}" y="{y_offset + H - MB + 16}" font-size="11" '
+            f'font-family="sans-serif" text-anchor="middle">{xv:.3g}</text>'
+        )
+    for k in range(4):
+        yv = ymin + k * (ymax - ymin) / 3
+        out.append(
+            f'<text x="{ML - 6}" y="{py(yv):.2f}" font-size="11" '
+            f'font-family="sans-serif" text-anchor="end">{yv:.3g}</text>'
+        )
+    for j, (label, y) in enumerate(series):
+        color = palette[j % len(palette)]
+        pts = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, np.asarray(y)))
+        out.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+        out.append(
+            f'<text x="{W - MR - 120}" y="{y_offset + MT + 16 + 14 * j}" font-size="11" '
+            f'font-family="sans-serif" fill="{color}">{label}</text>'
+        )
+
+
+def _reference_svg(panels):
+    W, H = 760, 300
+    total_h = H * len(panels)
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{total_h}" '
+        f'viewBox="0 0 {W} {total_h}">',
+        f'<rect width="{W}" height="{total_h}" fill="white"/>',
+    ]
+    for k, (title, x, series) in enumerate(panels):
+        _reference_panel(out, np.asarray(x), series, title, k * H)
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+# r = 1, r = 2 with a left and with a right blowdown, r = 3 (see conftest.py)
+WRITER_CASES = {
+    "r1": "ref",
+    "r2-left-blowdown": "blow",
+    "r2-right-blowdown": "right",
+    "r3": "three",
+}
+
+
+@pytest.fixture(params=sorted(WRITER_CASES))
+def writer_case(request):
+    """(spec, profile) of one of WRITER_CASES."""
+    name = WRITER_CASES[request.param]
+    return request.getfixturevalue(f"{name}_spec"), request.getfixturevalue(f"{name}_profile")
+
+
+def test_write_csv_matches_the_per_row_reference(writer_case, tmp_path):
+    spec, profile = writer_case
+    mp = reconstruct_t(profile.params, spec, grid_size=129)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(str(got), profile.params, spec, mp)
+    _reference_csv(str(want), profile.params, spec, mp)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_svg_matches_the_per_point_reference(writer_case, tmp_path, monkeypatch):
+    spec, profile = writer_case
+    mp = reconstruct_t(profile.params, spec, grid_size=129)
+    panels = []
+
+    def recorded(arg):
+        panels.append(arg)
+        return render_svg(arg)
+
+    monkeypatch.setattr(io, "render_svg", recorded)
+    path = tmp_path / "got.svg"
+    write_svg(str(path), profile.params, spec, mp)
+    assert path.read_text() == _reference_svg(panels[0])
+
+
+def test_dump_json_matches_json_dump(writer_case, tmp_path):
+    spec, profile = writer_case
+    report = report_to_dict(verify(profile, spec, grid_size=65))
+    report["checks"]["fd_check"]["value"] = math.nan
+    report["checks"]["mu_dev"]["value"] = math.inf
+    report["checks"]["defect_at_root"]["value"] = -math.inf
+    for doc in (solution_to_dict(profile, spec, SolverConfig()), report):
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        dump_json(doc, str(got))
+        _reference_json(doc, str(want))
+        assert got.read_bytes() == want.read_bytes()
+    assert b"NaN" in got.read_bytes() and b"-Infinity" in got.read_bytes()
+
+
+def test_render_svg_of_a_constant_series_matches_the_reference():
+    # ymax == ymin: the y range is widened to [ymin, ymin + 1]
+    x = np.linspace(0.0, 3.0, 17)
+    panels = [
+        ("constant", x, [("c", np.full(17, 2.5))]),
+        ("two constants", x, [("a", np.zeros(17)), ("b", [0.0] * 17)]),
+    ]
+    assert render_svg(panels) == _reference_svg(panels)
+
+
+# ---------------------------------------------------------------------------
 # CLI: validate
 # ---------------------------------------------------------------------------
 
@@ -265,6 +410,46 @@ def test_cli_solve_is_deterministic(tmp_path, spec_file):
     assert main(["solve", spec_file, "-o", str(out1)]) == 0
     assert main(["solve", spec_file, "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_solve_prints_the_text_it_writes(tmp_path, spec_file, capsys):
+    # without -o the solution goes to stdout as exactly the file's text
+    out = tmp_path / "sol.json"
+    assert main(["solve", spec_file, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["solve", spec_file]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_dump_json_that_fails_leaves_the_file_alone(tmp_path):
+    path = tmp_path / "old.json"
+    dump_json({"kept": [1.5, 2.5]}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        dump_json({"kept": [1.5, 2.5], "bad": object()}, str(path))
+    assert path.read_bytes() == before
+
+
+def test_cli_builds_its_parser_once(spec_file, monkeypatch):
+    parser = cli._parser()
+
+    def refuse():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["validate", spec_file]) == 0
+    assert main(["validate", spec_file]) == 0
+    assert cli._parser() is parser
+
+
+def test_solution_reads_resolve_type_hints_once(solution_file):
+    # a solution holds three dataclasses: SolverConfig, SolvedProfile, SolutionParams
+    doc = load_json(solution_file)
+    solution_from_dict(doc)
+    before = io._type_hints.cache_info()
+    solution_from_dict(doc)
+    after = io._type_hints.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
 
 
 def test_cli_solve_m_override(tmp_path, spec_file):

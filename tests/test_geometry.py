@@ -15,6 +15,7 @@ from qebundle import (
     reconstruct_t,
     verify_t_system,
 )
+from qebundle import geometry
 from qebundle.closedform import beta, params_from_kappa0, phi
 from qebundle.solver import boundary_defect
 from qebundle.verifier import TOL_T_SYSTEM
@@ -67,6 +68,26 @@ def test_total_length_matches_independent_integration(ref_profile, ref_spec):
     )
     mp = reconstruct_t(p, ref_spec, grid_size=513)
     assert mp.total_length_l == pytest.approx(left + right, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["ref", "blow", "three", "right"])
+def test_six_node_t_agrees_with_finer_rules(name, request, monkeypatch):
+    # 6 nodes per segment against 12 and 48: on the benchmark's spec
+    # family the 12- and 48-node rules differ by up to 1e-9 t(s_*) in the
+    # last segment, where the defect left over at the root sets the
+    # error; 6 nodes stay far inside that
+    spec = request.getfixturevalue(f"{name}_spec")
+    p = request.getfixturevalue(f"{name}_profile").params
+    t6 = reconstruct_t(p, spec).t
+    finer = {}
+    for nodes in (12, 48):
+        rule = np.polynomial.legendre.leggauss(nodes)
+        monkeypatch.setattr(geometry, "_GL_NODES", rule[0])
+        monkeypatch.setattr(geometry, "_GL_WEIGHTS", rule[1])
+        finer[nodes] = reconstruct_t(p, spec).t
+    t_end = finer[48][-1]
+    assert np.max(np.abs(t6 - finer[48])) <= 2e-9 * t_end
+    assert np.max(np.abs(t6 - finer[12])) <= 1e-10 * t_end
 
 
 def test_t_starts_like_sqrt_2s(ref_profile, ref_spec):

@@ -490,7 +490,40 @@ def test_defect_at_the_root_matches_a_finer_table(name, monkeypatch):
     ours = boundary_defect(p.kappa0, spec)
     monkeypatch.setattr(sv, "ALPHA_PANELS", 128)
     finer = boundary_defect(p.kappa0, spec)
+    assert len(sv._last_table[1][0]) == 129  # a new table, not the kept one
     assert abs(ours - finer) <= 1e-14 * scale
+
+
+def test_kept_table_answers_alternating_profiles_as_fresh_builds(monkeypatch):
+    # alpha for three profiles in turn, each time through the kept table,
+    # equals alpha with no table kept, bit for bit; the second differs
+    # from the first in kappa0 alone, as in a tampered solution file
+    ref, right = TABLE_SPECS["ref"], TABLE_SPECS["right-blowdown"]
+    p = solve(ref).params
+    cases = [
+        (ref, p),
+        (ref, dataclasses.replace(p, kappa0=p.kappa0 * (1.0 + 1e-6))),
+        (right, solve(right).params),
+    ]
+    calls = [(spec, q, np.linspace(0.0, q.s_star, 37)[1:]) for spec, q in cases] * 2
+    kept = [alpha(s, q, spec) for spec, q, s in calls]
+    fresh = []
+    for spec, q, s in calls:
+        monkeypatch.setattr(sv, "_last_table", (None, None))
+        fresh.append(alpha(s, q, spec))
+    for a, b in zip(kept, fresh):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(kept[0], kept[1])
+
+
+def test_kept_table_is_read_only(ref_spec):
+    p = solve(ref_spec).params
+    tables = sv._alpha_table(p, ref_spec)
+    assert sv._alpha_table(p, ref_spec) is tables
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 @pytest.mark.parametrize("name", ["ref", "blowdown", "three-factor"])

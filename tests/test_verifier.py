@@ -272,6 +272,8 @@ def test_corrupted_alpha_table_fails_the_quad_spot_check(name, request, monkeypa
     # anchors alpha on the tail sums
     spec = request.getfixturevalue(f"{name}_spec")
     profile = request.getfixturevalue(f"{name}_profile")
+    # uncorrupted it passes, and its own table becomes the kept one (see solver._alpha_table)
+    assert verify(profile, spec, grid_size=65).checks["alpha_quad_spot"]["passed"]
     build = solver._alpha_table
 
     def corrupted(params, spec):
@@ -289,6 +291,7 @@ def test_tail_spots_see_a_table_broken_next_to_a_right_blowdown(
 ):
     # only the tail sums from edges past 0.92 s_* are off: the spots from
     # 0.1 to 0.9 s_* cannot see that, the two at 0.95 and 0.99 s_* must
+    assert verify(right_profile, right_spec, grid_size=65).checks["alpha_quad_spot"]["passed"]
     build = solver._alpha_table
 
     def corrupted(params, spec):
