@@ -56,8 +56,8 @@ class QuadraticRoots:
 class SolutionParams:
     """All scalar data of one closed-form profile.
 
-    kappa0 : shift of the s-coordinate, large root of the left-end
-        quadratic (> 0 for usable profiles).
+    kappa0 : shift of the s-coordinate, the large root of the left-end
+        quadratic and the one free scalar (> 0).
     kappa1 : scale of phi; free, defaults to 1. Rescaling kappa1 leaves
         the metric and all residuals invariant and scales mu by
         kappa1^2.
@@ -66,7 +66,8 @@ class SolutionParams:
     s_star : interval length; -(s_star + kappa0) is the small root of
         the right-end quadratic.
     A : tuple of r quadratic coefficients A_i.
-    For kappa0 rows (see rows_from_kappa0) all but kappa1 are (K, 1) columns.
+    For kappa0 rows (params_from_kappa0 on a (K, 1) column) all but
+    kappa1 are (K, 1) columns.
     """
 
     kappa0: float
@@ -97,16 +98,17 @@ def endpoint_quadratic_roots(E, n_end: int) -> QuadraticRoots:
     NegativeDiscriminantError
         If 4(n_end+1)^2 + 2E < 0 (no real roots), at the first such E.
     """
-    b = 2.0 * (n_end + 1)
-    disc = b * b + 2.0 * np.asarray(E, dtype=float)
+    b, E = 2.0 * (n_end + 1), np.asarray(E, dtype=float)
+    disc = b * b + 2.0 * E
     k = _first(disc < 0.0)
     if k is not None:
         raise NegativeDiscriminantError(
             f"endpoint quadratic has negative discriminant {float(np.ravel(disc)[k])} "
             f"(E={float(np.ravel(E)[k])}, n_end={n_end})"
         )
-    root = np.sqrt(disc)
-    return QuadraticRoots(small=_scalar_or_array(-b - root), large=_scalar_or_array(-b + root))
+    root = np.sqrt(disc)  # the large root -b + root as 2E / (b + root), which does not cancel
+    small, large = -b - root, 2.0 * E / (b + root)
+    return QuadraticRoots(small=_scalar_or_array(small), large=_scalar_or_array(large))
 
 
 def energy_from_kappa0(kappa0, n_left: int):
@@ -127,13 +129,13 @@ def kappa0_and_sstar(E, spec: BundleSpec) -> tuple:
     Raises
     ------
     NonPositiveKappa0Error
-        If the large left root is <= 0 (signals E <= 0), at the first such E.
+        If the large left root is not positive (E <= 0 or NaN), at the first such E.
     """
     kappa0 = endpoint_quadratic_roots(E, spec.n_left).large
-    k = _first(kappa0 <= 0.0)
+    k = _first(~(np.asarray(kappa0) > 0.0))
     if k is not None:
         kappa0, E = float(np.ravel(kappa0)[k]), float(np.ravel(E)[k])
-        raise NonPositiveKappa0Error(f"large left root {kappa0} <= 0 (E={E})")
+        raise NonPositiveKappa0Error(f"large left root {kappa0} is not positive (E={E})")
     return kappa0, -endpoint_quadratic_roots(E, spec.n_right).small - kappa0
 
 
@@ -147,9 +149,10 @@ def coefficients_A(E, kappa0, s_star, spec: BundleSpec, root_signs=None) -> tupl
         A = (p_i +/- sqrt(p_i^2 - eps E q_i^2 / 2)) / (2E),
 
     one positive and one negative (their product is eps q_i^2/(8E) < 0
-    with eps = -1).
-    The NEGATIVE root is the default: it is the branch on which the
-    boundary defect acquires a root for the solvable configurations.
+    with eps = -1). The NEGATIVE root, taken as
+    eps q_i^2 / (4 (p_i + sqrt(...))) so that it does not cancel, is the
+    default: it is the branch on which the boundary defect acquires a
+    root for the solvable configurations.
     Mixed choices can solve too, e.g. (+, -) for (1,8,3) + (4,3,2) at
     m = 4, but none with every free factor on the positive root.
     ``root_signs`` overrides the choice per factor with entries +1/-1;
@@ -175,8 +178,8 @@ def coefficients_A(E, kappa0, s_star, spec: BundleSpec, root_signs=None) -> tupl
                 raise NegativeDiscriminantError(
                     f"factor {i + 1}: A-quadratic discriminant {float(np.ravel(disc)[k])} < 0"
                 )
-            sign = 1.0 if root_signs[i] >= 0 else -1.0
-            A.append((fac.p + sign * np.sqrt(disc)) / (2.0 * E))
+            plus = fac.p + np.sqrt(disc)
+            A.append(plus / (2.0 * E) if root_signs[i] >= 0 else eps * fac.q**2 / (4.0 * plus))
     return tuple(_scalar_or_array(a) for a in A)
 
 
@@ -185,33 +188,25 @@ def params_from_kappa0(
 ) -> SolutionParams:
     """Assemble the full parameter set from the single free scalar kappa0.
 
-    kappa0 may be an array, such as a (K, 1) column of kappa0 rows: every
-    field but kappa1 then has its shape, each entry the scalar call's
-    value. Raises the NonPositiveKappa0Error of kappa0_and_sstar.
+    E comes from the left-end quadratic at kappa0, and s_* from the small
+    root of the right-end one and that kappa0. kappa0 may be an array, such
+    as a (K, 1) column of kappa0 rows: every field but kappa1 then has its
+    shape, each entry the scalar call's value. Raises NonPositiveKappa0Error
+    at the first entry where not (kappa0 > 0), so a NaN fails too.
     """
+    k = _first(~(np.asarray(kappa0) > 0.0))
+    if k is not None:
+        raise NonPositiveKappa0Error(f"kappa0 = {float(np.ravel(kappa0)[k])} is not positive")
     E = energy_from_kappa0(kappa0, spec.n_left)
-    _, s_star = kappa0_and_sstar(E, spec)
+    s_star = -endpoint_quadratic_roots(E, spec.n_right).small - kappa0
     A = coefficients_A(E, kappa0, s_star, spec, root_signs=root_signs)
     return SolutionParams(
         kappa0=kappa0, kappa1=kappa1, E=E, mu=E * kappa1 * kappa1, s_star=s_star, A=A
     )
 
 
-def rows_from_kappa0(kappa0, spec: BundleSpec, root_signs=None):
-    """params_from_kappa0 at every kappa0 of a 1-D array that has a positive left root.
-
-    Returns (params, live): live indexes the kappa0 where
-    params_from_kappa0 does not raise, and params is params_from_kappa0
-    on the (K, 1) column kappa0[live, None], with kappa1 = 1: the kappa0 rows.
-    """
-    kappa0 = np.asarray(kappa0, dtype=float)
-    left = endpoint_quadratic_roots(energy_from_kappa0(kappa0, spec.n_left), spec.n_left).large
-    live = np.flatnonzero(~(left <= 0.0))
-    return params_from_kappa0(kappa0[live, None], spec, root_signs=root_signs), live
-
-
 def take_rows(params: SolutionParams, rows) -> SolutionParams:
-    """The kappa0 rows of params (see rows_from_kappa0) at index ``rows``."""
+    """The kappa0 rows of params (params_from_kappa0 on a (K, 1) column) at index ``rows``."""
     return dataclasses.replace(
         params,
         kappa0=params.kappa0[rows],
@@ -242,7 +237,7 @@ def factor_constants(spec: BundleSpec, ndim: int = 0):
 def _coefficients(s, params: SolutionParams, spec: BundleSpec):
     """s + kappa0, with A_i and q_i^2/(4 A_i) on a leading factor axis broadcasting against it.
 
-    For kappa0 rows (see rows_from_kappa0) the A_i are (K, 1) columns,
+    For kappa0 rows (see take_rows) the A_i are (K, 1) columns,
     and s has one row per kappa0 or broadcasts against them.
     """
     x = np.asarray(s, dtype=float) + params.kappa0
@@ -289,7 +284,7 @@ def V(s, params: SolutionParams, spec: BundleSpec):
 def _end_betas(params: SolutionParams, spec: BundleSpec):
     """The ends 0 and s_* of each kappa0 row of params (K, 2), and every beta_i there (r, K, 2).
 
-    params holds kappa0 rows (see rows_from_kappa0), or is one profile.
+    params holds kappa0 rows (see take_rows), or is one profile.
     Each beta_i is A_i x^2 - c with vertex at x = 0, outside
     [kappa0, kappa0 + s_*] since kappa0 > 0, so it is monotone there and
     positive on (0, s_*) iff at both ends. A blowdown factor vanishes at

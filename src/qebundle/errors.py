@@ -13,7 +13,7 @@ class NegativeDiscriminantError(QEError):
 
 
 class NonPositiveKappa0Error(QEError):
-    """The large root of the left-end quadratic is not positive."""
+    """kappa0, the large root of the left-end quadratic, is not positive (or is NaN)."""
 
 
 class PositivityError(QEError):
@@ -35,7 +35,7 @@ class NoSignChangeError(QEError):
 
     ``scan_table`` holds (kappa0, defect) pairs so the caller can widen
     the bracket with full information; a NaN defect marks a positivity
-    failure, a left root that is not positive, or an overflow.
+    failure or an overflow.
     """
 
     def __init__(self, message, scan_table=None):

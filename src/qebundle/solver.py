@@ -268,7 +268,7 @@ def _gauss_legendre(lo, hi, params, spec):
     """16-point Gauss-Legendre integrals of the alpha integrand, elementwise over [lo, hi].
 
     lo and hi have one row of intervals for each kappa0 row of params
-    (see closedform.rows_from_kappa0), or one row for a single profile.
+    (see closedform.take_rows), or one row for a single profile.
     The nodes are evaluated _GL_BLOCK intervals at a time, each with
     the parameters of its row (a single row broadcasts as it is).
     """
@@ -312,7 +312,7 @@ def _alpha_tables(params, spec):
     """Panel edges on [0, s_*] and the alpha integrand's integral from 0 to each and to s_*.
 
     One (K, ALPHA_PANELS + 1) array each, a row for each kappa0 row of
-    params (see closedform.rows_from_kappa0), or one row for a single
+    params (see closedform.take_rows), or one row for a single
     profile. Each row has half its panels on either side of the
     integrand's sign change, or of s_*/2 where it has none inside.
     """
@@ -433,22 +433,18 @@ def boundary_slopes(params, spec):
 
 
 def _defects(kappa0, spec, root_signs=None):
-    """boundary_defect at every kappa0 of a 1-D array, and where the checks passed.
+    """boundary_defect at every kappa0 > 0 of a 1-D array, and where the beta check passed.
 
-    Returns (defects, checked). Where checked[k], row k passed the
-    left-root and beta checks and is boundary_defect(kappa0[k]) bit for
-    bit, from one table build for all such rows; it is not finite only
-    if it overflowed. Elsewhere it is NaN, where boundary_defect raises.
+    Returns (defects, checked). Where checked[k], row k passed the beta
+    check and is boundary_defect(kappa0[k]) bit for bit, from one table
+    build for all such rows; it is not finite only if it overflowed.
+    Elsewhere it is NaN, where boundary_defect raises PositivityError.
     """
+    params = cf.params_from_kappa0(kappa0[:, None], spec, root_signs=root_signs)
+    checked = (cf._end_betas(params, spec)[1] > 0.0).all(axis=(0, 2))
     defects = np.full(np.shape(kappa0), np.nan)
-    params, live = cf.rows_from_kappa0(kappa0, spec, root_signs=root_signs)
-    passed = (cf._end_betas(params, spec)[1] > 0.0).all(axis=(0, 2))
-    if not passed.all():
-        params, live = cf.take_rows(params, np.flatnonzero(passed)), live[passed]
-    checked = np.zeros(np.shape(kappa0), dtype=bool)
-    checked[live] = True
-    if len(live):
-        defects[live] = _alpha_tables(params, spec)[1][:, -1]
+    rows = cf.take_rows(params, np.flatnonzero(checked))
+    defects[checked] = _alpha_tables(rows, spec)[1][:, -1]
     return defects, checked
 
 
@@ -464,9 +460,9 @@ def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
     Raises
     ------
     NonPositiveKappa0Error
-        If kappa0 is too small for a positive left root (a NaN scan row).
+        If not (kappa0 > 0); never on a scan row, as the bracket is positive.
     PositivityError
-        If some beta_i is not positive on (0, s_*) (also a NaN row).
+        If some beta_i is not positive on (0, s_*) (a NaN scan row).
     """
     params = cf.params_from_kappa0(kappa0, spec, root_signs=root_signs)
     cf.require_positive_beta(params, spec)

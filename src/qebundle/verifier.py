@@ -39,8 +39,9 @@ Tolerances are tiered by the weakest numerical ingredient of each
 check: algebraic identities at 1e-12, quadrature-backed residuals at
 1e-8, extrapolation/finite-difference checks at 1e-6. verify_t_system
 (with its bound TOL_T_SYSTEM = 1e-4) is a separate spot check of the
-t-coordinate fiber equation on the arclength reconstruction: verify
-does not run it, and it is no part of ``certified``.
+t-coordinate fiber equation on a 513-point arclength reconstruction
+(as is dsdt_consistency of ds/dt = f, by default): verify runs
+neither, and neither is part of ``certified``.
 """
 
 from __future__ import annotations
@@ -311,7 +312,8 @@ def verify(
     fd = sample_at(pts, params, spec)
     a, ap, app, lp = fd.alpha, fd.alpha_prime, fd.alpha_second, fd.logV_prime
     lpp = fd.logV_second[1]  # pts[1] is fd_points exactly
-    logV = np.log(cf.V(pts, params, spec))
+    # sum_i n_i log beta_i from the betas sample_at has checked: no V to overflow
+    logV = np.sum(cf.factor_constants(spec, 2)[0] * np.log(fd.beta), axis=0)
     fd_worst = float(
         np.max(
             [
@@ -409,7 +411,7 @@ def _window_fits(mp, y):
 def verify_t_system(
     params: cf.SolutionParams,
     spec: BundleSpec,
-    grid_size: int = 257,
+    grid_size: int = 513,
 ) -> float:
     """Spot-check the t-coordinate fiber equation on the reconstruction.
 
@@ -422,8 +424,9 @@ def verify_t_system(
 
     over the interior window t in [0.1 l, 0.9 l]. Limited by the O(h^4)
     error of the quartic window fits: on 99 certified profiles of mixed
-    shapes, all were below TOL_T_SYSTEM at grid_size 513 (at most 0.14
-    of it), while at the default 257 ten exceeded it, by up to 2.25x.
+    shapes, all were below TOL_T_SYSTEM at the default grid_size 513 (at
+    most 0.14 of it), while at 257 ten exceeded it, by up to 2.25x, at
+    about the same cost: the ~200 window fits dominate either size.
     """
     mp = reconstruct_t(params, spec, grid_size)
     _, val, d1, d2 = _window_fits(mp, np.column_stack([mp.f, mp.v, mp.g]))
@@ -438,7 +441,7 @@ def verify_t_system(
 def dsdt_consistency(
     params: cf.SolutionParams,
     spec: BundleSpec,
-    grid_size: int = 257,
+    grid_size: int = 513,
 ) -> float:
     """Max relative deviation of the differenced ds/dt from sqrt(alpha).
 

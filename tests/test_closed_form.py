@@ -1,6 +1,8 @@
 """Closed-form layer: endpoint quadratic, coefficients, profile pieces."""
 
 import dataclasses
+import decimal
+import math
 
 import numpy as np
 import pytest
@@ -152,14 +154,60 @@ def test_params_on_a_kappa0_column_are_the_scalar_calls_bit_for_bit(request, spe
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert rows.kappa1 == 2.0
 
-    bad = np.array([1.0, 1e-20, -0.5, 2.0])  # 1e-20 is the first left root of 0.0
+    bad = np.array([1.0, 1e-20, -0.5, 2.0])  # -0.5 is the first that is not positive
     with pytest.raises(NonPositiveKappa0Error) as err:
         params_from_kappa0(bad[:, None], spec)
-    assert str(err.value) == _scalar_message(lambda k0: params_from_kappa0(k0, spec), 1e-20)
+    assert str(err.value) == _scalar_message(lambda k0: params_from_kappa0(k0, spec), -0.5)
     E = energy_from_kappa0(bad, spec.n_left)
     with pytest.raises(NonPositiveKappa0Error) as err:
         kappa0_and_sstar(E, spec)
-    assert str(err.value) == _scalar_message(lambda e: kappa0_and_sstar(e, spec), E[1])
+    assert str(err.value) == _scalar_message(lambda e: kappa0_and_sstar(e, spec), E[2])
+
+
+@pytest.mark.parametrize("spec_name", ["ref_spec", "blow_spec", "right_spec", "both_spec"])
+def test_params_reject_a_kappa0_that_is_not_positive(request, spec_name):
+    # kappa0 is the input: it is checked as given, never recovered from E,
+    # as a scalar and as any entry of a column, with the scalar's message
+    spec = request.getfixturevalue(spec_name)
+    for k0 in (0.0, -0.5, -4.0 * (spec.n_left + 1), -100.0, np.nan):
+        with pytest.raises(NonPositiveKappa0Error) as err:
+            params_from_kappa0(k0, spec)
+        message = str(err.value)
+        assert "not positive" in message
+        column = np.array([[2.0], [k0], [-1.0]])
+        with pytest.raises(NonPositiveKappa0Error) as err:
+            params_from_kappa0(column, spec)
+        assert str(err.value) == message
+
+
+def _decimal_roots(E, n_end, p, q):
+    """The large endpoint root and the default A-root at E, by their textbook forms in decimal.
+
+    Both forms cancel, -b + sqrt(b^2 + 2E) and (p - sqrt(p^2 + E q^2/2)) / (2E)
+    with eps = -1, so the precision covers the digits that cancel.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80 + 2 * abs(int(math.log10(E)))
+        E = decimal.Decimal(E)
+        b = decimal.Decimal(2 * (n_end + 1))
+        large = -b + (b * b + 2 * E).sqrt()
+        a = (p - (p * p + E * q * q / 2).sqrt()) / (2 * E)
+    return float(large), float(a)
+
+
+def test_large_root_and_default_a_root_are_exact_over_every_scale():
+    # neither closed form cancels: within 4 ulp of a decimal reference for
+    # E from 1e-300 to 1e300 (the cancelling forms were off by 100% at 1e-300)
+    spec = make([(2, 3, 1), (1, 8, 3)])
+    for E in np.geomspace(1e-300, 1e300, 61):
+        for n_end in (0, 1, 3):
+            want, _ = _decimal_roots(E, n_end, 3, 1)
+            got = endpoint_quadratic_roots(E, n_end).large
+            assert abs(got - want) <= 4 * math.ulp(want), (E, n_end)
+        A = coefficients_A(E, 1.0, 4.0, spec)
+        for a, fac in zip(A, spec.factors):
+            _, want = _decimal_roots(E, 0, fac.p, fac.q)
+            assert abs(a - want) <= 4 * math.ulp(want), (E, fac)
 
 
 # ---------------------------------------------------------------------------

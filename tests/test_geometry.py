@@ -8,11 +8,14 @@ from scipy.integrate import quad
 
 import oracles as orc
 from qebundle import (
+    BundleSpec,
+    FactorSpec,
     PositivityError,
     SolvedProfile,
     alpha,
     dsdt_consistency,
     reconstruct_t,
+    solve,
     verify_t_system,
 )
 from qebundle import geometry
@@ -149,6 +152,13 @@ def test_reconstruct_names_the_negative_beta(ref_profile, ref_spec):
 
 def test_t_system_residual_small_on_reference(ref_profile, ref_spec):
     assert verify_t_system(ref_profile.params, ref_spec) < TOL_T_SYSTEM
+
+
+def test_t_system_default_grid_resolves_a_high_m_profile():
+    # the worst of the generated census specs for the O(h^4) window fits:
+    # 2.25 TOL_T_SYSTEM on a grid of 257, 0.14 of it on 513
+    spec = BundleSpec(factors=(FactorSpec(3, 4, -3), FactorSpec(3, 5, 2)), m=27.938276618071598)
+    assert verify_t_system(solve(spec).params, spec) < TOL_T_SYSTEM
 
 
 def test_dsdt_matches_f(ref_profile, ref_spec):

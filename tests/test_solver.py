@@ -149,7 +149,7 @@ def test_defect_positivity_guard_fires_on_invalid_spec():
 
 @pytest.mark.parametrize("spec_name", ["ref_spec", "blow_spec", "right_spec"])
 def test_boundary_defect_evaluates_each_closed_form_once(request, spec_name, monkeypatch):
-    # one profile: E once, and the endpoint quadratic once at each end
+    # one profile: E once from kappa0, and the endpoint quadratic once, at the right end
     spec = request.getfixturevalue(spec_name)
     calls = []
     energy, roots = cf.energy_from_kappa0, cf.endpoint_quadratic_roots
@@ -165,7 +165,7 @@ def test_boundary_defect_evaluates_each_closed_form_once(request, spec_name, mon
     monkeypatch.setattr(cf, "energy_from_kappa0", counted_energy)
     monkeypatch.setattr(cf, "endpoint_quadratic_roots", counted_roots)
     boundary_defect(5.0, spec)
-    assert calls == ["E", spec.n_left, spec.n_right]
+    assert calls == ["E", spec.n_right]
 
 
 def test_alpha_positivity_rule_fails_nan():
@@ -209,11 +209,11 @@ def test_solve_reproduces_frozen_oracle_root_both_blowdowns(both_profile):
 
 
 def test_solve_records_tiny_kappa0_as_nan_scan_rows(ref_spec):
-    # at kappa0 ~ 1e-20 the left root recomputed from E rounds to 0; the
-    # scan must record NaN there and still find the root further up.
-    # The cancelling default A-root divides by zero at such E: ROADMAP
-    # item 1 (cancellation-free closed forms) removes that warning.
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
+    # kappa0 ~ 1e-20 is a profile like any other: the scan must take
+    # those rows and still find the root further up, with no warning
+    # from a closed form that cancels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         prof = solve(ref_spec, SolverConfig(bracket=(1e-20, 1e3)))
     assert abs(prof.params.kappa0 - orc.K0_REF) < 1e-10
 
@@ -311,6 +311,13 @@ LARGE_M_ROOTS_64 = {
     (100.0, BLOWDOWN): (722.1499449723636,),
     (100.0, COLLAPSE): (297.05971628434196,),
 }
+# the same roots before s_* was taken from kappa0 itself rather than from
+# the left root recomputed from E, with the large root and A-root cancelling
+LARGE_M_ROOTS_RECOMPUTED = {
+    (64.0, BLOWDOWN): (468.9584513057884,),
+    (100.0, BLOWDOWN): (722.149944972417,),
+    (100.0, COLLAPSE): (297.0597162843375,),
+}
 
 
 @pytest.mark.parametrize(
@@ -321,21 +328,21 @@ LARGE_M_ROOTS_64 = {
             64.0,
             BLOWDOWN,
             ((415.95621630718426, 517.9474679231203),),
-            (468.9584513057884,),
+            (468.9584513057955,),
         ),
         (
             ((1, 4, 1), (2, 3, 1)),
             100.0,
             BLOWDOWN,
             ((644.946677103762, 803.0857221391504),),
-            (722.149944972417,),
+            (722.1499449723901,),
         ),
         (
             ((2, 3, 1),),
             100.0,
             COLLAPSE,
             ((268.26957952797216, 334.04849835132444),),
-            (297.0597162843375,),
+            (297.05971628433775,),
         ),
     ],
 )
@@ -349,6 +356,7 @@ def test_scan_at_large_m_compares_signs_without_overflow(factors, m, right, sign
     assert prof.all_sign_changes == sign_changes
     assert prof.roots == roots
     assert prof.roots == pytest.approx(LARGE_M_ROOTS_64[m, right], rel=1e-13, abs=0.0)
+    assert prof.roots == pytest.approx(LARGE_M_ROOTS_RECOMPUTED[m, right], rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -759,13 +767,12 @@ def test_scan_is_the_scalar_defect_bit_for_bit(name):
 
 
 def test_scan_is_the_scalar_defect_on_a_tiny_bracket(ref_spec):
-    # the rows below kappa0 ~ 1e-16 have no positive left root, one more
-    # fails positivity; the cancelling A-root divides by zero on the way
-    # (ROADMAP item 1 removes that warning)
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
+    # down to kappa0 = 1e-20 every closed form stays exact: no warning,
+    # every row passes the checks, and each is the scalar call to the bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         raised = _assert_scan_is_scalar(np.geomspace(1e-20, 1e3, 64), ref_spec)
-    kinds = [e[0] for e in raised if e is not None]
-    assert NonPositiveKappa0Error in kinds and PositivityError in kinds
+    assert raised == [None] * 64
 
 
 def test_overflowed_scan_rows_are_named_not_called_single_signed():

@@ -24,6 +24,7 @@ from qebundle import (
     solve,
     verify,
 )
+from qebundle import closedform as cf
 from qebundle import solver
 from qebundle.closedform import beta_jet, params_from_kappa0
 from qebundle.solver import boundary_defect
@@ -302,6 +303,25 @@ def test_tail_spots_see_a_table_broken_next_to_a_right_blowdown(
     report = verify(right_profile, right_spec, grid_size=65)
     assert not report.checks["alpha_quad_spot"]["passed"]
     assert not report.certified
+
+
+@pytest.mark.parametrize("name", ["ref", "blow", "right"])
+def test_verify_takes_the_fd_log_v_from_the_sampled_betas(name, request, monkeypatch):
+    # fd_check differences sum_i n_i log beta_i of the (3, 10) stencil's
+    # betas, which sample_at has checked: V itself, which can overflow,
+    # is never formed there
+    spec = request.getfixturevalue(f"{name}_spec")
+    profile = request.getfixturevalue(f"{name}_profile")
+    shapes, V = [], cf.V
+
+    def recorded_V(s, params, spec):
+        shapes.append(np.shape(s))
+        return V(s, params, spec)
+
+    monkeypatch.setattr(cf, "V", recorded_V)
+    report = verify(profile, spec, grid_size=65)
+    assert report.certified and report.checks["fd_check"]["passed"]
+    assert shapes and (3, 10) not in shapes
 
 
 @pytest.mark.parametrize("name", ["ref", "right"])
