@@ -14,11 +14,12 @@ whose integrating factor V (s+kappa0)^(m-1) gives
 
 The integral is served from one composite Gauss-Legendre table per
 profile (the last one built is kept, see _alpha_table):
-ALPHA_PANELS = 32 panels of 16 points, half on each single-signed
-side of the integrand's sign change, their cumulative sums from 0 and
-from s_*, and one partial panel from the nearest table edge to each
-query point. Under a right blowdown alpha takes the integral from the
-s_* end past the sign change (see alpha).
+ALPHA_PANELS = 8 panels of 16 points, half on each single-signed
+side of the integrand's sign change (or of s_*/2 where it has none
+inside), their cumulative sums from 0 and from s_*, and one partial
+panel from the nearest table edge to each query point. Under a right
+blowdown alpha takes the integral from the s_* end past the sign
+change (see alpha).
 
 alpha(0) = 0 holds by construction; the one remaining boundary
 condition alpha(s_*) = 0 becomes a scalar root-find in kappa0. The
@@ -163,20 +164,27 @@ def _piece_integrals(params, spec, cuts):
     return ends, np.array(pieces)
 
 
-# Fixed-order rule for alpha: 16-point Gauss-Legendre panels, 32 across
+# Fixed-order rule for alpha: 16-point Gauss-Legendre panels, 8 across
 # [0, s_*], split evenly between the two single-signed sides of the
 # integrand's sign change, or between the halves of [0, s_*] when it has
-# none inside. Against a 512-panel table, alpha on 109 solved profiles
-# differs by at most 3.2e-13 relative with 16 or 32 panels and 2.6e-13
-# with 64: roundoff alike. At 16, the verifier's right-blowdown tail
-# spots (0.95 s_* and 0.99 s_*) fall in the last panel, whose tail sum
-# is 0, and no longer see a broken tail table; 32 keeps 0.95 s_* before it.
+# none inside. Against a 512-panel table, on 112 solved profiles (the 99
+# roots of the benchmark's generated census and the table specs of the
+# tests), tables of 8, 16 and 32 panels all agree to roundoff: alpha at
+# 64 interior points to 3.2e-13 relative, the defect at the root to
+# 3.0e-15 of int_0^{s_*} |integrand| (1.0e-15 at 32). 4 panels would
+# take a further eighth off a solve (1.61 against 1.85 ms over those 99
+# census specs, one process) but eat into the certificate: the worst
+# check on the blowdown (1,2,1)+(1,3,1) at m = 100 reads 0.057 of its
+# tolerance, against 0.030 at 8 and 0.031 at 32. The verifier's tail
+# spots see a broken tail sum at any panel count; its test corrupts the
+# one at the last interior edge.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-ALPHA_PANELS = 32
-# Intervals integrated per vectorised block (16 rows of a scan): keeps
-# each (block, 16) temporary of the integrand at 64 kB however many
-# points or kappa0 rows are asked. With three factors, 1024 ran the scan
-# and alpha about 1.4 times slower than 512, with a 1.7 times higher peak.
+ALPHA_PANELS = 8
+# Intervals integrated per vectorised block: one block holds the whole
+# default scan (64 kappa0 rows of 8 panels). Keeps each (block, 16)
+# temporary of the integrand at 64 kB however many points or rows are
+# asked. With three factors, 1024 ran the scan and alpha about 1.4 times
+# slower than 512, with a 1.7 times higher peak.
 _GL_BLOCK = 512
 
 # The 7-point Gauss / 15-point Kronrod pair of QUADPACK's QK15

@@ -290,14 +290,17 @@ def test_corrupted_alpha_table_fails_the_quad_spot_check(name, request, monkeypa
 def test_tail_spots_see_a_table_broken_next_to_a_right_blowdown(
     right_profile, right_spec, monkeypatch
 ):
-    # only the tail sums from edges past 0.92 s_* are off: the spots from
-    # 0.1 to 0.9 s_* cannot see that, the two at 0.95 and 0.99 s_* must
+    # only the tail sum from the last interior edge (edges[-2]) is off: it
+    # is the integral over the panel next to the blown-down end, and every
+    # spot past the sign change in the panel before that one reads its
+    # alpha from it (at 8 panels the spot at 0.7 s_*, at 32 the one at 0.95 s_*)
     assert verify(right_profile, right_spec, grid_size=65).checks["alpha_quad_spot"]["passed"]
     build = solver._alpha_table
 
     def corrupted(params, spec):
         edges, cum, tail = build(params, spec)
-        return edges, cum, np.where(edges > 0.92 * params.s_star, tail * (1.0 + 1e-6), tail)
+        last = np.arange(edges.size) == edges.size - 2
+        return edges, cum, np.where(last, tail * (1.0 + 1e-6), tail)
 
     monkeypatch.setattr(solver, "_alpha_table", corrupted)
     report = verify(right_profile, right_spec, grid_size=65)
