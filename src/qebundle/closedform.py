@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +79,40 @@ class SolutionParams:
     A: tuple
 
 
+# Python and numpy scalars: one profile, where an array is a kappa0 axis.
+_SCALARS = (float, int, np.generic)
+
+
 def _scalar_or_array(x):
     """x as a float if it is a scalar, else the array itself."""
-    return float(x) if np.ndim(x) == 0 else x
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _floats(x):
+    """x as an np.float64 if it is a scalar, else as a float array.
+
+    For one profile the chain runs on np.float64 scalars, which overflow
+    and divide by zero to inf or NaN with a RuntimeWarning, as arrays do,
+    where a Python float would raise ZeroDivisionError or OverflowError.
+    """
+    return np.float64(x) if isinstance(x, _SCALARS) else np.asarray(x, dtype=float)
+
+
+def _not_positive(x):
+    """not (x > 0) on a scalar, or elementwise on an array; a NaN is not positive."""
+    return not (x > 0.0) if isinstance(x, _SCALARS) else ~(np.asarray(x) > 0.0)
+
+
+def _isnan(x):
+    """np.isnan on an array, or math.isnan on a scalar, with no ufunc call."""
+    return math.isnan(x) if isinstance(x, _SCALARS) else np.isnan(x)
 
 
 def _first(mask):
     """Flat index of the first true entry of a boolean scalar or array, or None."""
-    return int(np.argmax(mask)) if np.count_nonzero(mask) else None
+    if not isinstance(mask, np.ndarray):
+        return 0 if mask else None
+    return int(np.argmax(mask)) if mask.any() else None
 
 
 def endpoint_quadratic_roots(E, n_end: int) -> QuadraticRoots:
@@ -98,7 +125,7 @@ def endpoint_quadratic_roots(E, n_end: int) -> QuadraticRoots:
     NegativeDiscriminantError
         If 4(n_end+1)^2 + 2E < 0 (no real roots), at the first such E.
     """
-    b, E = 2.0 * (n_end + 1), np.asarray(E, dtype=float)
+    b, E = 2.0 * (n_end + 1), _floats(E)
     disc = b * b + 2.0 * E
     k = _first(disc < 0.0)
     if k is not None:
@@ -132,7 +159,7 @@ def kappa0_and_sstar(E, spec: BundleSpec) -> tuple:
         If the large left root is not positive (E <= 0 or NaN), at the first such E.
     """
     kappa0 = endpoint_quadratic_roots(E, spec.n_left).large
-    k = _first(~(np.asarray(kappa0) > 0.0))
+    k = _first(_not_positive(kappa0))
     if k is not None:
         kappa0, E = float(np.ravel(kappa0)[k]), float(np.ravel(E)[k])
         raise NonPositiveKappa0Error(f"large left root {kappa0} is not positive (E={E})")
@@ -165,11 +192,14 @@ def coefficients_A(E, kappa0, s_star, spec: BundleSpec, root_signs=None) -> tupl
         raise ValueError(f"root_signs needs {spec.r} entries, got {len(root_signs)}")
     eps = spec.epsilon
     sigma = s_star + kappa0
+    left_blowdown = spec.left is EndpointType.BLOWDOWN
+    right_blowdown = spec.right is EndpointType.BLOWDOWN
+    last = spec.r - 1
     A = []
     for i, fac in enumerate(spec.factors):
-        if spec.left is EndpointType.BLOWDOWN and i == 0:
+        if left_blowdown and i == 0:
             A.append(1.0 / (2.0 * kappa0))
-        elif spec.right is EndpointType.BLOWDOWN and i == spec.r - 1:
+        elif right_blowdown and i == last:
             A.append(-1.0 / (2.0 * sigma))
         else:
             disc = fac.p * fac.p - 0.5 * eps * E * fac.q * fac.q
@@ -180,7 +210,7 @@ def coefficients_A(E, kappa0, s_star, spec: BundleSpec, root_signs=None) -> tupl
                 )
             plus = fac.p + np.sqrt(disc)
             A.append(plus / (2.0 * E) if root_signs[i] >= 0 else eps * fac.q**2 / (4.0 * plus))
-    return tuple(_scalar_or_array(a) for a in A)
+    return tuple(map(_scalar_or_array, A))
 
 
 def params_from_kappa0(
@@ -194,7 +224,7 @@ def params_from_kappa0(
     shape, each entry the scalar call's value. Raises NonPositiveKappa0Error
     at the first entry where not (kappa0 > 0), so a NaN fails too.
     """
-    k = _first(~(np.asarray(kappa0) > 0.0))
+    k = _first(_not_positive(kappa0))
     if k is not None:
         raise NonPositiveKappa0Error(f"kappa0 = {float(np.ravel(kappa0)[k])} is not positive")
     E = energy_from_kappa0(kappa0, spec.n_left)
@@ -234,23 +264,28 @@ def factor_constants(spec: BundleSpec, ndim: int = 0):
     return _factor_table(spec.factors, ndim)
 
 
-def _coefficients(s, params: SolutionParams, spec: BundleSpec):
-    """s + kappa0, with A_i and q_i^2/(4 A_i) on a leading factor axis broadcasting against it.
+def _coefficients(params: SolutionParams, spec: BundleSpec):
+    """(A_i, q_i^2/(4 A_i)) of every factor: beta_i = A_i x^2 - q_i^2/(4 A_i) at x = s + kappa0.
 
-    For kappa0 rows (see take_rows) the A_i are (K, 1) columns,
-    and s has one row per kappa0 or broadcasts against them.
+    Each is an np.float64 for one profile (see _floats), or a (K, 1)
+    column for kappa0 rows (see take_rows), broadcasting against x.
     """
-    x = np.asarray(s, dtype=float) + params.kappa0
-    a = np.array(params.A, dtype=float)
-    a = a.reshape(a.shape + (1,) * (x.ndim + 1 - a.ndim))
-    q = factor_constants(spec, a.ndim - 1)[2]
-    return x, a, q * q / (4.0 * a)
+    pairs = []
+    for a, fac in zip(params.A, spec.factors):
+        a, q = _floats(a), float(fac.q)
+        pairs.append((a, q * q / (4.0 * a)))
+    return pairs
+
+
+def _betas(x, coefficients):
+    """beta_i at x = s + kappa0, one entry per factor, from _coefficients."""
+    return [a * x * x - c for a, c in coefficients]
 
 
 def beta(s, params: SolutionParams, spec: BundleSpec):
     """beta_i(s) = A_i (s+kappa0)^2 - q_i^2/(4 A_i), shape (r,) + shape(s)."""
-    x, a, c = _coefficients(s, params, spec)
-    return a * x * x - c
+    x = np.asarray(s, dtype=float) + params.kappa0
+    return np.array(_betas(x, _coefficients(params, spec)))
 
 
 def beta_jet(s, params: SolutionParams, spec: BundleSpec):
@@ -260,8 +295,13 @@ def beta_jet(s, params: SolutionParams, spec: BundleSpec):
     blowdown ends, where a beta_i vanishes, can read it too;
     verifier.sample_at checks positivity where log V enters.
     """
-    x, a, c = _coefficients(s, params, spec)
-    return a * x * x - c, 2.0 * a * x, np.full(a.shape[:1] + x.shape, 2.0 * a)
+    x = np.asarray(s, dtype=float) + params.kappa0
+    coefficients = _coefficients(params, spec)
+    return (
+        np.array(_betas(x, coefficients)),
+        np.array([2.0 * a * x for a, _ in coefficients]),
+        np.array([np.full(x.shape, 2.0 * a) for a, _ in coefficients]),
+    )
 
 
 def phi(s, params: SolutionParams):
@@ -277,40 +317,46 @@ def phi_prime(s, params: SolutionParams):
 
 def V(s, params: SolutionParams, spec: BundleSpec):
     """V(s) = prod_i beta_i(s)^(n_i); vanishes only at a blowdown end."""
+    return _V_at(np.asarray(s, dtype=float) + params.kappa0, params, spec)
+
+
+def _V_at(x, params: SolutionParams, spec: BundleSpec):
+    """V at x = s + kappa0 (see V), for callers that have formed x already."""
     # A Python-int exponent per factor: numpy squares exactly, an exponent array uses pow.
-    return math.prod(b**fac.n for b, fac in zip(beta(s, params, spec), spec.factors))
+    betas = _betas(x, _coefficients(params, spec))
+    powers = (b if fac.n == 1 else b**fac.n for b, fac in zip(betas, spec.factors))
+    return functools.reduce(operator.mul, powers)
 
 
 def _end_betas(params: SolutionParams, spec: BundleSpec):
-    """The ends 0 and s_* of each kappa0 row of params (K, 2), and every beta_i there (r, K, 2).
+    """Every beta_i at the ends 0 and s_*: a list over the factors at each end.
 
-    params holds kappa0 rows (see take_rows), or is one profile.
-    Each beta_i is A_i x^2 - c with vertex at x = 0, outside
-    [kappa0, kappa0 + s_*] since kappa0 > 0, so it is monotone there and
-    positive on (0, s_*) iff at both ends. A blowdown factor vanishes at
-    its own end by construction, which reads +inf.
+    Each value is an np.float64 for one profile, or a (K, 1) column for
+    kappa0 rows (see take_rows). Each beta_i is A_i x^2 - c with vertex
+    at x = 0, outside [kappa0, kappa0 + s_*] since kappa0 > 0, so it is
+    monotone there and positive on (0, s_*) iff at both ends. A blowdown
+    factor vanishes at its own end by construction, which reads +inf.
     """
-    s_star = np.reshape(params.s_star, (-1, 1))
-    ends = np.concatenate([np.zeros_like(s_star), s_star], axis=1)
-    vals = beta(ends, params, spec)
+    coefficients = _coefficients(params, spec)
+    left = _betas(0.0 + params.kappa0, coefficients)
+    right = _betas(params.s_star + params.kappa0, coefficients)
     if spec.left is EndpointType.BLOWDOWN:
-        vals[0, :, 0] = np.inf
+        left[0] = np.inf
     if spec.right is EndpointType.BLOWDOWN:
-        vals[-1, :, 1] = np.inf
-    return ends, vals
+        right[-1] = np.inf
+    return left, right
 
 
 def require_positive_beta(params: SolutionParams, spec: BundleSpec):
     """Raise PositivityError at one profile's first factor, then end, where not (beta_i > 0)."""
-    ends, vals = _end_betas(params, spec)
-    bad = ~(vals[:, 0] > 0.0)
-    if np.count_nonzero(bad):
-        i, j = np.argwhere(bad)[0]
-        s, value = float(ends[0, j]), float(vals[i, 0, j])
-        kappa0 = float(np.reshape(params.kappa0, -1)[0])
-        raise PositivityError(
-            f"beta_{i + 1} = {value:.3e} is not positive at s = {s:.6g} (kappa0 = {kappa0:.6g})",
-            factor=int(i) + 1,
-            s=s,
-            value=value,
-        )
+    for i, ends in enumerate(zip(*_end_betas(params, spec))):
+        for s, value in zip((0.0, params.s_star), ends):
+            if not (value > 0.0):
+                s, value, kappa0 = float(s), float(value), float(params.kappa0)
+                raise PositivityError(
+                    f"beta_{i + 1} = {value:.3e} is not positive at s = {s:.6g} "
+                    f"(kappa0 = {kappa0:.6g})",
+                    factor=i + 1,
+                    s=s,
+                    value=value,
+                )

@@ -41,7 +41,10 @@ from .spec import BundleSpec
 # the 1e-9 t(s_*) by which 12 and 48 nodes disagree at s_* (the leftover
 # defect). On the default 513-point grid alpha is evaluated at
 # 513 + 512 * 6 = 3585 points instead of 6657.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+_GL_NODES, _GL_WEIGHTS = sv.legendre_rule(
+    (0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+    (0.46791393457269104, 0.3607615730481387, 0.17132449237917027),
+)
 
 
 @dataclass

@@ -45,6 +45,17 @@ rows instead of calling it there again. Only the scalar call raises:
 a scan row that fails a check is a NaN, and the scan's mask of checked
 rows tells an overflow from it.
 
+The scalar call keeps its parameters, its beta check, its break and
+its panel edges on scalars, and builds one array only for the
+(ALPHA_PANELS, 16) integrand nodes: the same IEEE operations, in the
+same order, as its scan row. Scalar and array part ways only inside
+small primitives (closedform._floats, _first, _where, _even_edges).
+Its scalars are np.float64, not Python floats, which keeps numpy's
+semantics at the edges: past kappa0 ~ 1e160 an A_i rounds to -0.0,
+and q_i^2/(4 A_i) is then -inf with a RuntimeWarning, where a Python
+float would raise ZeroDivisionError, so the call fails the beta check
+with its PositivityError, as the scan row does.
+
 Both numerical pieces are written here on numpy alone, so numpy is the
 only runtime dependency.
 """
@@ -118,20 +129,26 @@ def alpha_integrand(r, params: cf.SolutionParams, spec: BundleSpec):
     """
     x = np.asarray(r, dtype=float) + params.kappa0
     out = (
-        cf.V(r, params, spec)
+        cf._V_at(x, params, spec)
         * x ** (spec.m - 2.0)
         * (params.E + 0.5 * spec.epsilon * x * x)
     )
-    return float(out) if np.ndim(r) == 0 else out
+    return cf._scalar_or_array(out)
+
+
+def _where(mask, x, y):
+    """np.where(mask, x, y), or for a scalar mask x or y itself, with no 0-d array."""
+    return (x if mask else y) if isinstance(mask, cf._SCALARS) else np.where(mask, x, y)
 
 
 def _integral_break(params, spec):
     """Interior sign-change point of the integrand on (0, s_*), NaN where there is none.
 
-    Of the shape of params.kappa0: a scalar, or a (K, 1) column of kappa0 rows.
+    Of the shape of params.kappa0: an np.float64 (or NaN) for one
+    profile, or a (K, 1) column of kappa0 rows.
     """
     x0 = np.sqrt(2.0 * params.E / -spec.epsilon) - params.kappa0
-    return np.where((0.0 < x0) & (x0 < params.s_star), x0, np.nan)
+    return _where((0.0 < x0) & (x0 < params.s_star), x0, np.nan)
 
 
 # Adaptive quadrature settings of the verifier's reference integrals.
@@ -164,6 +181,19 @@ def _piece_integrals(params, spec, cuts):
     return ends, np.array(pieces)
 
 
+def legendre_rule(nodes, weights):
+    """A Gauss-Legendre rule on [-1, 1], ascending, from its positive nodes and their weights.
+
+    The rules are written out as np.polynomial.legendre.leggauss gives
+    them (bit for bit with numpy 2.4). Computing them at import would
+    load numpy.polynomial and run LAPACK's eigensolver in every process:
+    on a 2-core Linux host about 3 ms of start-up, and 1.4 MB more peak
+    resident memory in a benchmark run.
+    """
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
 # Fixed-order rule for alpha: 16-point Gauss-Legendre panels, 8 across
 # [0, s_*], split evenly between the two single-signed sides of the
 # integrand's sign change, or between the halves of [0, s_*] when it has
@@ -178,7 +208,28 @@ def _piece_integrals(params, spec, cuts):
 # tolerance, against 0.030 at 8 and 0.031 at 32. The verifier's tail
 # spots see a broken tail sum at any panel count; its test corrupts the
 # one at the last interior edge.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = legendre_rule(
+    (
+        0.09501250983763744,
+        0.2816035507792589,
+        0.45801677765722737,
+        0.6178762444026438,
+        0.755404408355003,
+        0.8656312023878318,
+        0.9445750230732326,
+        0.9894009349916499,
+    ),
+    (
+        0.18945061045506864,
+        0.18260341504492364,
+        0.16915651939500265,
+        0.1495959888165767,
+        0.12462897125553407,
+        0.0951585116824926,
+        0.062253523938647456,
+        0.027152459411754176,
+    ),
+)
 ALPHA_PANELS = 8
 # Intervals integrated per vectorised block: one block holds the whole
 # default scan (64 kappa0 rows of 8 panels). Keeps each (block, 16)
@@ -276,18 +327,19 @@ def _gauss_legendre(lo, hi, params, spec):
     """16-point Gauss-Legendre integrals of the alpha integrand, elementwise over [lo, hi].
 
     lo and hi have one row of intervals for each kappa0 row of params
-    (see closedform.take_rows), or one row for a single profile.
+    (see closedform.take_rows), or are 1-D for a single profile.
     The nodes are evaluated _GL_BLOCK intervals at a time, each with
     the parameters of its row (a single row broadcasts as it is).
     """
     mid, half = (0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo)).ravel()
-    rows = np.repeat(np.arange(hi.shape[0]), hi.shape[1]) if hi.shape[0] > 1 else None
+    many_rows = hi.ndim == 2 and hi.shape[0] > 1
+    rows = np.repeat(np.arange(hi.shape[0]), hi.shape[1]) if many_rows else None
     sums = np.empty(mid.size)
     for k in range(0, mid.size, _GL_BLOCK):
         block = slice(k, k + _GL_BLOCK)
         r = mid[block, None] + half[block, None] * _GL_NODES
         at = params if rows is None else cf.take_rows(params, rows[block])
-        sums[block] = np.sum(_GL_WEIGHTS * alpha_integrand(r, at, spec), axis=-1)
+        sums[block] = np.add.reduce(_GL_WEIGHTS * alpha_integrand(r, at, spec), axis=-1)
     return (half * sums).reshape(hi.shape)
 
 
@@ -296,41 +348,49 @@ def _even_edges(lo, hi, panels):
 
     Written out in linspace's own arithmetic (step = (hi - lo) / panels,
     edge k = k * step + lo, the last edge hi), so the edges are its bits;
-    linspace takes another path only for a step that rounds to 0.
+    linspace takes another path only for a step that rounds to 0. For
+    one row, an np.float64 hi, the same sums are a list of np.float64.
     """
-    edges = np.arange(panels + 1.0) * ((hi - lo) / panels)[:, None] + np.asarray(lo)[..., None]
+    step = (hi - lo) / panels
+    if isinstance(step, cf._SCALARS):
+        return [k * step + lo for k in range(panels)] + [hi]
+    edges = np.arange(panels + 1.0) * step[:, None] + np.asarray(lo)[..., None]
     edges[:, -1] = hi
     return edges
 
 
 def _panel_edges(s_star, brk):
-    """ALPHA_PANELS + 1 panel edges on [0, s_*] for each entry of the 1-D s_star.
+    """ALPHA_PANELS + 1 panel edges on [0, s_*]: a row for each entry of a 1-D s_star, or one row.
 
     Half the panels evenly on either side of the break brk, or of s_*/2
-    where brk is NaN (no sign change inside).
+    where brk is NaN (no sign change inside). For one profile s_star is
+    an np.float64 and brk a scalar.
     """
     half = ALPHA_PANELS // 2
-    mid = np.where(np.isnan(brk), 0.5 * s_star, brk)
-    return np.concatenate(
-        [_even_edges(0.0, mid, half), _even_edges(mid, s_star, half)[:, 1:]], axis=1
-    )
+    mid = _where(cf._isnan(brk), 0.5 * s_star, brk)
+    left, right = _even_edges(0.0, mid, half), _even_edges(mid, s_star, half)
+    if isinstance(mid, cf._SCALARS):
+        return np.array(left + right[1:])
+    return np.concatenate([left, right[:, 1:]], axis=1)
 
 
 def _alpha_tables(params, spec):
     """Panel edges on [0, s_*] and the alpha integrand's integral from 0 to each and to s_*.
 
     One (K, ALPHA_PANELS + 1) array each, a row for each kappa0 row of
-    params (see closedform.take_rows), or one row for a single
-    profile. Each row has half its panels on either side of the
-    integrand's sign change, or of s_*/2 where it has none inside.
+    params (see closedform.take_rows), or one 1-D row for a single
+    profile, from scalars (see closedform._floats). Each row has half
+    its panels on either side of the integrand's sign change, or of
+    s_*/2 where it has none inside.
     """
-    s_star = np.asarray(params.s_star, dtype=float).reshape(-1)
-    brk = _integral_break(params, spec).reshape(-1)
+    s_star, brk = cf._floats(params.s_star), _integral_break(params, spec)
+    if not isinstance(s_star, cf._SCALARS):  # kappa0 rows: (K, 1) columns as 1-D
+        s_star, brk = s_star.reshape(-1), brk.reshape(-1)
     edges = _panel_edges(s_star, brk)
-    panels = _gauss_legendre(edges[:, :-1], edges[:, 1:], params, spec)
+    panels = _gauss_legendre(edges[..., :-1], edges[..., 1:], params, spec)
     cum, tail = np.zeros(edges.shape), np.zeros(edges.shape)
-    np.cumsum(panels, axis=-1, out=cum[:, 1:])
-    np.cumsum(panels[:, ::-1], axis=-1, out=tail[:, -2::-1])
+    np.add.accumulate(panels, axis=-1, out=cum[..., 1:])
+    np.add.accumulate(panels[..., ::-1], axis=-1, out=tail[..., -2::-1])
     return edges, cum, tail
 
 
@@ -356,7 +416,7 @@ def _alpha_table(params, spec):
         ALPHA_PANELS,
     )
     if _last_table[0] != key:
-        tables = tuple(table[0] for table in _alpha_tables(params, spec))
+        tables = _alpha_tables(params, spec)
         for table in tables:
             table.flags.writeable = False
         _last_table = (key, tables)
@@ -388,7 +448,7 @@ def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
     brk = float(_integral_break(params, spec))
     past = r >= (brk if right_blowdown and not math.isnan(brk) else np.inf)
     lo, hi = np.where(past, r, edges[k]), np.where(past, edges[k + 1], r)
-    part = _gauss_legendre(lo[None], hi[None], params, spec)[0]
+    part = _gauss_legendre(lo, hi, params, spec)
     integral = np.where(past, -(tail[k + 1] + part), cum[k] + part)
     out[inner] = integral / (cf.V(r, params, spec) * (r + params.kappa0) ** (spec.m - 1.0))
     return float(out) if np.ndim(s) == 0 else out
@@ -449,7 +509,10 @@ def _defects(kappa0, spec, root_signs=None):
     Elsewhere it is NaN, where boundary_defect raises PositivityError.
     """
     params = cf.params_from_kappa0(kappa0[:, None], spec, root_signs=root_signs)
-    checked = (cf._end_betas(params, spec)[1] > 0.0).all(axis=(0, 2))
+    checked = np.ones(np.shape(kappa0), dtype=bool)
+    for values in cf._end_betas(params, spec):
+        for value in values:
+            checked &= np.reshape(value > 0.0, -1)
     defects = np.full(np.shape(kappa0), np.nan)
     rows = cf.take_rows(params, np.flatnonzero(checked))
     defects[checked] = _alpha_tables(rows, spec)[1][:, -1]
@@ -463,7 +526,12 @@ def boundary_defect(kappa0: float, spec: BundleSpec, root_signs=None):
     prefactor is finite and positive. D is the last entry of the alpha
     table (see _alpha_tables), so the root is found on the same rule
     that alpha is evaluated with. This is the one-profile chain of
-    ``solve`` and ``verify``; the scan (_defects) runs it on many rows at once.
+    ``solve`` and ``verify``; the scan (_defects) runs it on many rows
+    at once, and each of its rows is this call's value bit for bit.
+    The chain runs on np.float64 scalars but for the integrand nodes,
+    so an overflow or a division by zero reads inf or NaN with a
+    RuntimeWarning, as in the scan, and never raises a Python
+    ZeroDivisionError or OverflowError.
 
     Raises
     ------

@@ -19,6 +19,7 @@ from qebundle import (
     verify_t_system,
 )
 from qebundle import geometry
+from qebundle import verifier as vf
 from qebundle.closedform import beta, params_from_kappa0, phi
 from qebundle.solver import boundary_defect
 from qebundle.verifier import TOL_T_SYSTEM
@@ -163,3 +164,19 @@ def test_t_system_default_grid_resolves_a_high_m_profile():
 
 def test_dsdt_matches_f(ref_profile, ref_spec):
     assert dsdt_consistency(ref_profile.params, ref_spec) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["ref", "blow", "three", "right", "both"])
+def test_window_fits_match_per_window_polyfit(name, request):
+    # the one stacked least-squares solve against a polyfit per window:
+    # value, d/dt and d2/dt2 of every fitted column, relative to the
+    # column's largest value
+    spec = request.getfixturevalue(f"{name}_spec")
+    mp = reconstruct_t(request.getfixturevalue(f"{name}_profile").params, spec, grid_size=513)
+    y = np.column_stack([mp.f, mp.v, mp.g])
+    idx, val, d1, d2 = vf._window_fits(mp, y)
+    assert len(idx) > 150
+    polyfit = np.polynomial.polynomial.polyfit
+    fits = np.array([polyfit(mp.t[j - 3 : j + 4] - mp.t[j], y[j - 3 : j + 4], 4) for j in idx])
+    for got, want in ((val, fits[:, 0]), (d1, fits[:, 1]), (d2, 2.0 * fits[:, 2])):
+        assert np.all(np.abs(got - want) <= 1e-9 * np.max(np.abs(want), axis=0))

@@ -28,6 +28,7 @@ from qebundle import (
     solve,
 )
 from qebundle import closedform as cf
+from qebundle import geometry
 from qebundle import solver as sv
 from qebundle.closedform import params_from_kappa0, require_positive_beta
 from qebundle.verifier import chebyshev_grid
@@ -742,14 +743,16 @@ def test_brentq_rejects_ends_of_one_sign():
 # The array scan against the scalar defect, row by row
 # ---------------------------------------------------------------------------
 
-# (spec, root_signs): the Brent cases, and a spec off the validity clause
-# whose scan mixes positivity failures with finite rows
+# (spec, root_signs): the Brent cases, a spec off the validity clause
+# whose scan mixes positivity failures with finite rows, and ref at
+# m = 150, whose scan has 11 overflowed rows
 SCAN_CASES = {
     **BRENT_CASES,
     "positivity-rows": (
         BundleSpec(factors=(FactorSpec(2, 3, 1), FactorSpec(2, 3, 1)), m=3.0, right=BLOWDOWN),
         None,
     ),
+    "ref-m150": (BundleSpec(factors=(FactorSpec(2, 3, 1),), m=150.0), None),
 }
 
 
@@ -765,23 +768,35 @@ def _scalar_scan(grid, spec, root_signs=None):
     return defects, raised
 
 
-def _assert_scan_is_scalar(grid, spec, root_signs=None):
+def _assert_scan_is_scalar(grid, spec, root_signs=None, overflows=False):
     defects, checked = sv._defects(grid, spec, root_signs)
     want, raised = _scalar_scan(grid, spec, root_signs)
     assert np.array_equal(defects, want, equal_nan=True)
     assert checked.tolist() == [e is None for e in raised]
-    assert np.array_equal(np.isnan(defects), ~checked)
+    if overflows:
+        # an overflowed row passed the checks and reads NaN or -inf, as the scalar call does
+        assert np.isnan(defects[~checked]).all()
+        assert not np.isfinite(defects[checked]).all()
+    else:
+        assert np.array_equal(np.isnan(defects), ~checked)
     return raised
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_scan_is_the_scalar_defect_bit_for_bit(name):
     # every row of the one-call scan is the scalar call's value to the bit,
-    # and unchecked and NaN exactly where the scalar call raises
+    # and unchecked and NaN exactly where the scalar call raises; at
+    # m = 150 the overflowed rows read the same NaN and -inf in both
     spec, root_signs = SCAN_CASES[name]
+    grid = np.geomspace(1e-3, 1e3, 64)
+    if name == "ref-m150":
+        with pytest.warns(RuntimeWarning):
+            raised = _assert_scan_is_scalar(grid, spec, root_signs, overflows=True)
+        assert raised == [None] * 64
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        raised = _assert_scan_is_scalar(np.geomspace(1e-3, 1e3, 64), spec, root_signs)
+        raised = _assert_scan_is_scalar(grid, spec, root_signs)
     if name == "positivity-rows":
         assert 0 < sum(e is not None for e in raised) < 64
 
@@ -793,6 +808,34 @@ def test_scan_is_the_scalar_defect_on_a_tiny_bracket(ref_spec):
         warnings.simplefilter("error", RuntimeWarning)
         raised = _assert_scan_is_scalar(np.geomspace(1e-20, 1e3, 64), ref_spec)
     assert raised == [None] * 64
+
+
+def test_scan_is_the_scalar_defect_up_to_the_largest_floats(ref_spec):
+    # far past the default bracket beta_1(0) cancels to 0 (from kappa0 ~ 1e25)
+    # and then overflows to NaN with a RuntimeWarning (from ~1e155): every
+    # such row fails the beta check in the scan and in the scalar call alike
+    with pytest.warns(RuntimeWarning):
+        raised = _assert_scan_is_scalar(np.geomspace(1e-3, 1e300, 64), ref_spec)
+    assert 0 < raised.count(None) < 64
+
+
+@pytest.mark.parametrize(
+    "kappa0, at",
+    [
+        (1e160, "s = inf (kappa0 = 1e+160)"),
+        (1e200, "s = inf (kappa0 = 1e+200)"),
+        (1e308, "s = inf (kappa0 = 1e+308)"),
+        (math.inf, "s = 0 (kappa0 = inf)"),
+    ],
+)
+def test_scalar_defect_at_huge_kappa0_fails_the_beta_check(ref_spec, kappa0, at):
+    # A_1 rounds to -0.0 from kappa0 ~ 1e160: the one-profile chain runs on
+    # numpy scalars, so q^2/(4 A_1) is -inf with a RuntimeWarning, not a
+    # ZeroDivisionError, and the typed error names the NaN beta
+    with pytest.warns(RuntimeWarning), pytest.raises(PositivityError) as err:
+        boundary_defect(kappa0, ref_spec)
+    assert str(err.value) == f"beta_1 = nan is not positive at {at}"
+    assert err.value.factor == 1 and math.isnan(err.value.value)
 
 
 def test_overflowed_scan_rows_are_named_not_called_single_signed():
@@ -855,6 +898,14 @@ def test_solve_calls_the_scalar_defect_only_in_the_root_polish(ref_spec, monkeyp
     assert calls == polish_calls
     assert prof.params.kappa0 in calls
     assert prof.defect_at_root == defect(prof.params.kappa0, ref_spec)
+
+
+@pytest.mark.parametrize("module, n", [(sv, 16), (geometry, 6)])
+def test_written_out_gauss_legendre_rules_are_leggauss(module, n):
+    # bit for bit with numpy 2.4; another LAPACK build may move a last bit
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_array_max_ulp(module._GL_NODES, nodes, maxulp=2)
+    np.testing.assert_array_max_ulp(module._GL_WEIGHTS, weights, maxulp=2)
 
 
 def test_panel_edges_are_linspace_bit_for_bit():
