@@ -53,14 +53,12 @@ from .verifier import (
     ResidualReport,
     ansatz_residual,
     chebyshev_grid,
-    dsdt_consistency,
     mu_of_s,
     residual_25,
     residual_26,
     residual_27,
     sample_at,
     verify,
-    verify_t_system,
 )
 
 __version__ = "0.1.0"

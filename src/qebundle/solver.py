@@ -17,9 +17,10 @@ profile (the last one built is kept, see _alpha_table):
 ALPHA_PANELS = 8 panels of 16 points, half on each single-signed
 side of the integrand's sign change (or of s_*/2 where it has none
 inside), their cumulative sums from 0 and from s_*, and one partial
-panel from the nearest table edge to each query point. Under a right
-blowdown alpha takes the integral from the s_* end past the sign
-change (see alpha).
+panel to each query point from the table edge at or below it. Under a
+right blowdown, past the sign change, alpha takes the integral from
+the s_* end instead, with a partial panel up to the edge above the
+point (see alpha).
 
 alpha(0) = 0 holds by construction; the one remaining boundary
 condition alpha(s_*) = 0 becomes a scalar root-find in kappa0. The
@@ -428,11 +429,13 @@ def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
 
     The integral is tabulated at the panel edges of [0, s_*] once per
     profile (see _alpha_table), and every point is answered from the
-    table value at the nearest edge plus one 16-point panel from that
-    edge. Under a right blowdown, past the integrand's sign change, the
-    integral is taken from the s_* end, alpha = -int_s^{s_*} ... dr /
-    (V x^(m-1)), so V ~ (s_* - s)^(n_r) never divides roundoff; this
-    drops the defect D, about 0 at a root and recomputed by the verifier.
+    table value at the edge at or below it plus one 16-point panel from
+    that edge. Under a right blowdown, past the integrand's sign change,
+    the integral is taken from the s_* end, by the tail sum at the edge
+    above the point plus one panel up to that edge: alpha =
+    -int_s^{s_*} ... dr / (V x^(m-1)), so V ~ (s_* - s)^(n_r) never
+    divides roundoff; this drops the defect D, about 0 at a root and
+    recomputed by the verifier.
     alpha(0) = 0, and alpha(s_*) = 0 under a right blowdown, are
     returned exactly without quadrature. Accepts scalar or array s.
     """
@@ -723,6 +726,9 @@ def solve(
     primary = min(roots)
     defect_at_root = root_defects[roots.index(primary)]
     # boundary_defect has checked the betas here; alpha is checked below.
+    # E - x^2/2 is 2(n_L+1) kappa0 > 0 at x = kappa0 and -2(n_R+1)(kappa0 + s_*) < 0
+    # at x = kappa0 + s_*: at an exact root with every beta_i > 0 the integral from 0
+    # rises, then falls to 0, so alpha is positive inside.
     params = cf.params_from_kappa0(primary, spec, kappa1=kappa1, root_signs=root_signs)
     s_grid = np.linspace(0.0, params.s_star, 66)[1:-1]
     require_positive_alpha(s_grid, alpha(s_grid, params, spec))

@@ -37,11 +37,10 @@ of the pieces from s to s_*.
 A profile is *certified* when every named check passes its tolerance.
 Tolerances are tiered by the weakest numerical ingredient of each
 check: algebraic identities at 1e-12, quadrature-backed residuals at
-1e-8, extrapolation/finite-difference checks at 1e-6. verify_t_system
-(with its bound TOL_T_SYSTEM = 1e-4) is a separate spot check of the
-t-coordinate fiber equation on a 513-point arclength reconstruction
-(as is dsdt_consistency of ds/dt = f, by default): verify runs
-neither, and neither is part of ``certified``.
+1e-8, extrapolation/finite-difference checks at 1e-6. The fiber
+equation of the metric dt^2 + f^2 theta^2 + sum_i g_i^2 h_i in the
+arclength t has no check of its own: by the chain rule
+d/dt = sqrt(alpha) d/ds it is residual (II) term for term.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import numpy as np
 from . import closedform as cf
 from . import solver as sv
 from .errors import PositivityError
-from .geometry import reconstruct_t
 from .spec import BundleSpec, EndpointType
 
 
@@ -229,7 +227,6 @@ TOL_RESIDUAL = 1e-8
 TOL_SLOPE = 1e-6
 TOL_FD = 1e-6
 TOL_ALPHA_END = 1e-10
-TOL_T_SYSTEM = 1e-4
 
 
 def verify(
@@ -385,80 +382,3 @@ def verify(
         checks=checks,
         certified=all(c["passed"] for c in checks.values()),
     )
-
-
-def _window_fits(mp, y):
-    """Local quartic fits in t over 7-sample windows of the reconstruction.
-
-    The windows are centred on the nodes with t in [0.1 l, 0.9 l],
-    thinned to about 200. y holds one column per fitted function (one
-    row per grid node). Returns the centre indices and, per centre and
-    column, the fitted value, d/dt and d2/dt2.
-
-    Every window is fitted at once: one least-squares solve (a stacked
-    pseudo-inverse) over the (windows, 7, 5) Vandermonde stack in
-    t - t_centre, with the column scaling and the rcond of
-    np.polynomial.polynomial.polyfit. It agrees with a polyfit per window
-    to within 1e-9 of each fitted column's largest value (6e-10 at worst
-    on the reference profiles), at a fifth of the time.
-    """
-    lo, hi = 0.1 * mp.total_length_l, 0.9 * mp.total_length_l
-    idx = np.where((mp.t >= lo) & (mp.t <= hi))[0]
-    idx = idx[:: max(1, len(idx) // 200)]
-    idx = idx[(idx >= 3) & (idx <= len(mp.t) - 4)]
-    window = idx[:, None] + np.arange(-3, 4)
-    van = (mp.t[window] - mp.t[idx, None])[..., None] ** np.arange(5.0)
-    scale = np.sqrt(np.sum(van * van, axis=1, keepdims=True))
-    scale[scale == 0.0] = 1.0
-    if len(idx):
-        c = np.linalg.pinv(van / scale, 7 * np.finfo(float).eps) @ y[window]
-    else:
-        c = np.zeros((0, 5, y.shape[1]))
-    c /= scale.swapaxes(1, 2)
-    return idx, c[:, 0], c[:, 1], 2.0 * c[:, 2]
-
-
-def verify_t_system(
-    params: cf.SolutionParams,
-    spec: BundleSpec,
-    grid_size: int = 513,
-) -> float:
-    """Spot-check the t-coordinate fiber equation on the reconstruction.
-
-    Reconstructs t(s), forms f = sqrt(alpha), g_i = sqrt(beta_i),
-    v = phi, differentiates them in t by local quartic fits on the
-    nonuniform grid, and returns the max residual of
-
-        f../f + sum_i (2 n_i f. g_i./(f g_i) - n_i q_i^2 f^2/(2 g_i^4))
-             + m f. v./(f v) - eps/2
-
-    over the interior window t in [0.1 l, 0.9 l]. Limited by the O(h^4)
-    error of the quartic window fits: on 99 certified profiles of mixed
-    shapes, all were below TOL_T_SYSTEM at the default grid_size 513 (at
-    most 0.14 of it), while at 257 ten exceeded it, by up to 2.25x, at
-    about the same cost: the ~200 window fits dominate either size.
-    """
-    mp = reconstruct_t(params, spec, grid_size)
-    _, val, d1, d2 = _window_fits(mp, np.column_stack([mp.f, mp.v, mp.g]))
-    f, fd, fdd, v, vd = val[:, 0], d1[:, 0], d2[:, 0], val[:, 1], d1[:, 1]
-    g, gd = val[:, 2:].T, d1[:, 2:].T
-    n, _, q = cf.factor_constants(spec, 1)
-    res = fdd / f + spec.m * fd * vd / (f * v) - 0.5 * spec.epsilon
-    res += np.sum(2.0 * n * fd * gd / (f * g) - 0.5 * n * q**2 * f**2 / g**4, axis=0)
-    return float(np.max(np.abs(res), initial=0.0))
-
-
-def dsdt_consistency(
-    params: cf.SolutionParams,
-    spec: BundleSpec,
-    grid_size: int = 513,
-) -> float:
-    """Max relative deviation of the differenced ds/dt from sqrt(alpha).
-
-    ds = f dt is the coordinate change itself, so the reconstructed
-    t-grid must satisfy ds/dt = f = sqrt(alpha) wherever alpha > 0.
-    """
-    mp = reconstruct_t(params, spec, grid_size)
-    idx, _, dsdt, _ = _window_fits(mp, mp.s[:, None])
-    f = mp.f[idx]
-    return float(np.max(np.abs(dsdt[:, 0] - f) / np.abs(f), initial=0.0))

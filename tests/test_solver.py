@@ -96,6 +96,21 @@ def test_integrand_changes_sign_at_sqrt_2E(ref_spec):
         assert below > 0.0 > above
 
 
+@pytest.mark.parametrize("name", ["ref", "blow", "three", "right", "both"])
+def test_integrand_changes_sign_once_inside_on_the_scan_grid(name, request):
+    # E - x^2/2 is 2(n_L+1) kappa0 > 0 at x = kappa0 and -2(n_R+1)(kappa0 + s_*) < 0
+    # at x = kappa0 + s_*: at every kappa0 of the default scan the break lies strictly
+    # inside (0, s_*), with the integrand positive just left of it and negative just right
+    spec = request.getfixturevalue(f"{name}_spec")
+    cfg = SolverConfig()
+    for kappa0 in np.geomspace(*cfg.bracket, cfg.scan_points).tolist():
+        p = params_from_kappa0(kappa0, spec)
+        brk = float(sv._integral_break(p, spec))
+        assert 0.0 < brk < p.s_star
+        h = 1e-6 * p.s_star
+        assert alpha_integrand(brk - h, p, spec) > 0.0 > alpha_integrand(brk + h, p, spec)
+
+
 def test_integrand_vanishes_at_left_blowdown(blow_profile, blow_spec):
     # V(kappa0) = 0 there since beta_1(0) = 0
     assert alpha_integrand(0.0, blow_profile.params, blow_spec) == 0.0
