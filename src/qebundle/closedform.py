@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -101,11 +100,6 @@ def _floats(x):
 def _not_positive(x):
     """not (x > 0) on a scalar, or elementwise on an array; a NaN is not positive."""
     return not (x > 0.0) if isinstance(x, _SCALARS) else ~(np.asarray(x) > 0.0)
-
-
-def _isnan(x):
-    """np.isnan on an array, or math.isnan on a scalar, with no ufunc call."""
-    return math.isnan(x) if isinstance(x, _SCALARS) else np.isnan(x)
 
 
 def _first(mask):

@@ -113,7 +113,8 @@ def _checked_params(params: cf.SolutionParams) -> cf.SolutionParams:
     kappa1 and s_star must also be finite and positive: nothing
     downstream checks the sign of kappa1 (every residual is invariant
     under it) and it scales phi, and every grid spans [0, s_star].
-    A NaN or an infinity elsewhere is left to the positivity checks.
+    A NaN or an infinity elsewhere is left to the positivity checks,
+    past solution_from_dict's check of the integrand's sign change.
     """
     if not isinstance(params.A, tuple):
         raise ValueError(f"params.A must be a list, got {params.A!r}")
@@ -132,7 +133,10 @@ def solution_from_dict(doc: dict):
     Raises ValueError if doc, config or params is not an object, the
     spec fails validation, config fails SolverConfig's checks, a params
     entry is not a real number, kappa1 or s_star is not finite and
-    positive, or params.A does not hold one coefficient per factor.
+    positive, params.A does not hold one coefficient per factor, or the
+    alpha integrand's sign change, sqrt(2E) - kappa0, is not inside
+    (0, s_star) (it is for the closed forms of every kappa0 > 0, and the
+    alpha table splits its panels there).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a solution file must hold a JSON object, got {doc!r}")
@@ -143,6 +147,12 @@ def solution_from_dict(doc: dict):
     params = _checked_params(profile.params)
     if len(params.A) != spec.r:
         raise ValueError(f"params.A has {len(params.A)} entries; the spec has r = {spec.r}")
+    brk = float(sv._integral_break(params, spec)) if 0.0 < params.E < math.inf else math.nan
+    if not (0.0 < brk < params.s_star):
+        raise ValueError(
+            "params: the alpha integrand must change sign inside (0, s_star), at "
+            f"sqrt(2E) - kappa0; E = {params.E!r} puts it at {brk!r}, s_star = {params.s_star!r}"
+        )
     return spec, dataclasses.replace(profile, params=params), config
 
 

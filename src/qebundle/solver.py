@@ -13,14 +13,13 @@ whose integrating factor V (s+kappa0)^(m-1) gives
                * int_0^s V(r) (r+kappa0)^(m-2) (E + eps (r+kappa0)^2 / 2) dr.
 
 The integral is served from one composite Gauss-Legendre table per
-profile (the last one built is kept, see _alpha_table):
+profile (the last few built are cached, see _alpha_table):
 ALPHA_PANELS = 8 panels of 16 points, half on each single-signed
-side of the integrand's sign change (or of s_*/2 where it has none
-inside), their cumulative sums from 0 and from s_*, and one partial
-panel to each query point from the table edge at or below it. Under a
-right blowdown, past the sign change, alpha takes the integral from
-the s_* end instead, with a partial panel up to the edge above the
-point (see alpha).
+side of the integrand's sign change, their cumulative sums from 0 and
+from s_*, and one partial panel to each query point from the table
+edge at or below it. Under a right blowdown, past the sign change,
+alpha takes the integral from the s_* end instead, with a partial
+panel up to the edge above the point (see alpha).
 
 alpha(0) = 0 holds by construction; the one remaining boundary
 condition alpha(s_*) = 0 becomes a scalar root-find in kappa0. The
@@ -50,7 +49,7 @@ The scalar call keeps its parameters, its beta check, its break and
 its panel edges on scalars, and builds one array only for the
 (ALPHA_PANELS, 16) integrand nodes: the same IEEE operations, in the
 same order, as its scan row. Scalar and array part ways only inside
-small primitives (closedform._floats, _first, _where, _even_edges).
+small primitives (closedform._floats, _first, _even_edges).
 Its scalars are np.float64, not Python floats, which keeps numpy's
 semantics at the edges: past kappa0 ~ 1e160 an A_i rounds to -0.0,
 and q_i^2/(4 A_i) is then -inf with a RuntimeWarning, where a Python
@@ -63,6 +62,7 @@ only runtime dependency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,19 +137,16 @@ def alpha_integrand(r, params: cf.SolutionParams, spec: BundleSpec):
     return cf._scalar_or_array(out)
 
 
-def _where(mask, x, y):
-    """np.where(mask, x, y), or for a scalar mask x or y itself, with no 0-d array."""
-    return (x if mask else y) if isinstance(mask, cf._SCALARS) else np.where(mask, x, y)
-
-
 def _integral_break(params, spec):
-    """Interior sign-change point of the integrand on (0, s_*), NaN where there is none.
+    """The integrand's sign change, sqrt(2E) - kappa0, in s.
 
-    Of the shape of params.kappa0: an np.float64 (or NaN) for one
-    profile, or a (K, 1) column of kappa0 rows.
+    Of the shape of params.kappa0: an np.float64 for one profile, or a
+    (K, 1) column of kappa0 rows. E - x^2/2 is 2(n_L+1) kappa0 > 0 at
+    x = kappa0 and -2(n_R+1)(kappa0 + s_*) < 0 at x = kappa0 + s_*, so
+    for params_from_kappa0 at any kappa0 > 0 it lies strictly inside
+    (0, s_*); output.solution_from_dict rejects a file where it does not.
     """
-    x0 = np.sqrt(2.0 * params.E / -spec.epsilon) - params.kappa0
-    return _where((0.0 < x0) & (x0 < params.s_star), x0, np.nan)
+    return np.sqrt(2.0 * params.E / -spec.epsilon) - params.kappa0
 
 
 # Adaptive quadrature settings of the verifier's reference integrals.
@@ -170,7 +167,8 @@ def _piece_integrals(params, spec, cuts):
     from 0 to s_*, and the integral over each piece.
     """
     brk = float(_integral_break(params, spec))
-    ends = np.array(sorted({0.0, params.s_star, *cuts, *([] if math.isnan(brk) else [brk])}))
+    inside = [brk] if 0.0 < brk < params.s_star else []
+    ends = np.array(sorted({0.0, params.s_star, *cuts, *inside}))
 
     def integrand(r):
         return alpha_integrand(r, params, spec)
@@ -197,18 +195,17 @@ def legendre_rule(nodes, weights):
 
 # Fixed-order rule for alpha: 16-point Gauss-Legendre panels, 8 across
 # [0, s_*], split evenly between the two single-signed sides of the
-# integrand's sign change, or between the halves of [0, s_*] when it has
-# none inside. Against a 512-panel table, on 112 solved profiles (the 99
-# roots of the benchmark's generated census and the table specs of the
-# tests), tables of 8, 16 and 32 panels all agree to roundoff: alpha at
-# 64 interior points to 3.2e-13 relative, the defect at the root to
-# 3.0e-15 of int_0^{s_*} |integrand| (1.0e-15 at 32). 4 panels would
-# take a further eighth off a solve (1.61 against 1.85 ms over those 99
-# census specs, one process) but eat into the certificate: the worst
-# check on the blowdown (1,2,1)+(1,3,1) at m = 100 reads 0.057 of its
-# tolerance, against 0.030 at 8 and 0.031 at 32. The verifier's tail
-# spots see a broken tail sum at any panel count; its test corrupts the
-# one at the last interior edge.
+# integrand's sign change. Against a 512-panel table, on 112 solved
+# profiles (the 99 roots of the benchmark's generated census and the
+# table specs of the tests), tables of 8, 16 and 32 panels all agree to
+# roundoff: alpha at 64 interior points to 3.2e-13 relative, the defect
+# at the root to 3.0e-15 of int_0^{s_*} |integrand| (1.0e-15 at 32). 4
+# panels would take a further eighth off a solve (1.61 against 1.85 ms
+# over those 99 census specs, one process) but eat into the certificate:
+# the worst check on the blowdown (1,2,1)+(1,3,1) at m = 100 reads 0.057
+# of its tolerance, against 0.030 at 8 and 0.031 at 32. The verifier's
+# tail spots see a broken tail sum at any panel count; its test corrupts
+# the one at the last interior edge.
 _GL_NODES, _GL_WEIGHTS = legendre_rule(
     (
         0.09501250983763744,
@@ -363,14 +360,13 @@ def _even_edges(lo, hi, panels):
 def _panel_edges(s_star, brk):
     """ALPHA_PANELS + 1 panel edges on [0, s_*]: a row for each entry of a 1-D s_star, or one row.
 
-    Half the panels evenly on either side of the break brk, or of s_*/2
-    where brk is NaN (no sign change inside). For one profile s_star is
-    an np.float64 and brk a scalar.
+    Half the panels evenly on either side of the break brk, which is
+    edge ALPHA_PANELS // 2. For one profile s_star is an np.float64 and
+    brk a scalar.
     """
     half = ALPHA_PANELS // 2
-    mid = _where(cf._isnan(brk), 0.5 * s_star, brk)
-    left, right = _even_edges(0.0, mid, half), _even_edges(mid, s_star, half)
-    if isinstance(mid, cf._SCALARS):
+    left, right = _even_edges(0.0, brk, half), _even_edges(brk, s_star, half)
+    if isinstance(brk, cf._SCALARS):
         return np.array(left + right[1:])
     return np.concatenate([left, right[:, 1:]], axis=1)
 
@@ -381,8 +377,7 @@ def _alpha_tables(params, spec):
     One (K, ALPHA_PANELS + 1) array each, a row for each kappa0 row of
     params (see closedform.take_rows), or one 1-D row for a single
     profile, from scalars (see closedform._floats). Each row has half
-    its panels on either side of the integrand's sign change, or of
-    s_*/2 where it has none inside.
+    its panels on either side of the integrand's sign change.
     """
     s_star, brk = cf._floats(params.s_star), _integral_break(params, spec)
     if not isinstance(s_star, cf._SCALARS):  # kappa0 rows: (K, 1) columns as 1-D
@@ -395,33 +390,21 @@ def _alpha_tables(params, spec):
     return edges, cum, tail
 
 
-# The last one-profile table, as (key, (edges, cum, tail)); see _alpha_table.
-_last_table = (None, None)
-
-
+@functools.lru_cache(maxsize=4)
 def _alpha_table(params, spec):
     """_alpha_tables for one profile: its edges, and the integral from 0 to each and to s_*.
 
-    The last table is kept, keyed on what it depends on: kappa0, E,
-    s_star and A as Python floats, the spec and ALPHA_PANELS. Verifying
-    and exporting one profile then build one table, not one per alpha
-    call; the kept arrays are read-only.
+    Cached on the profile itself, as both arguments are frozen
+    dataclasses, so verifying and exporting one profile build one
+    table, not one per alpha call; the cached arrays are read-only.
+    Four entries hold the table at every root of the benchmark's
+    generated census when solve checks alpha there: Brent's method
+    evaluated that root last, or at most three calls before the end.
     """
-    global _last_table
-    key = (
-        float(params.kappa0),
-        float(params.E),
-        float(params.s_star),
-        tuple(map(float, params.A)),
-        spec,
-        ALPHA_PANELS,
-    )
-    if _last_table[0] != key:
-        tables = _alpha_tables(params, spec)
-        for table in tables:
-            table.flags.writeable = False
-        _last_table = (key, tables)
-    return _last_table[1]
+    tables = _alpha_tables(params, spec)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
@@ -448,8 +431,7 @@ def alpha(s, params: cf.SolutionParams, spec: BundleSpec):
     inner = (s_arr != 0.0) & ~((s_arr == params.s_star) & right_blowdown)
     r = s_arr[inner]
     k = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
-    brk = float(_integral_break(params, spec))
-    past = r >= (brk if right_blowdown and not math.isnan(brk) else np.inf)
+    past = r >= (edges[len(edges) // 2] if right_blowdown else np.inf)
     lo, hi = np.where(past, r, edges[k]), np.where(past, edges[k + 1], r)
     part = _gauss_legendre(lo, hi, params, spec)
     integral = np.where(past, -(tail[k + 1] + part), cum[k] + part)

@@ -654,6 +654,11 @@ def test_cli_solution_spec_is_validated_on_read(solution_file, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+BREAK_OUTSIDE = (
+    "params: the alpha integrand must change sign inside (0, s_star), at sqrt(2E) - kappa0; "
+)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -688,6 +693,9 @@ def test_cli_solution_spec_is_validated_on_read(solution_file, tmp_path, capsys,
             {"params": {"s_star": float("nan")}},
             "params.s_star must be finite and positive, got nan",
         ),
+        ({"params": {"E": 1e-3}}, BREAK_OUTSIDE + "E = 0.001 puts it at -"),
+        ({"params": {"E": 1e6, "s_star": 1e-3}}, BREAK_OUTSIDE + "E = 1000000.0 puts it at 1"),
+        ({"params": {"E": -1}}, BREAK_OUTSIDE + "E = -1.0 puts it at nan, s_star = 4.0"),
     ],
     ids=[
         "string-kappa0",
@@ -706,6 +714,9 @@ def test_cli_solution_spec_is_validated_on_read(solution_file, tmp_path, capsys,
         "s_star=-1",
         "s_star=inf",
         "s_star=nan",
+        "break<0",
+        "break>s_star",
+        "E=-1",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "profile"])
@@ -715,8 +726,11 @@ def test_cli_solution_params_are_checked_on_read(
     # a non-numeric entry used to end in a numpy traceback (exit 1), a
     # negative kappa1 in a certified profile with u = nan in every CSV row,
     # and a list for config or params, or a config entry of the wrong
-    # type, in a TypeError traceback (exit 1). An object in ``edit`` is
-    # merged into that part of the file; anything else replaces it.
+    # type, in a TypeError traceback (exit 1). An E that puts the
+    # integrand's sign change outside (0, s_star) used to reach the alpha
+    # table, which splits its panels there (exit 0 or 4). An object in
+    # ``edit`` is merged into that part of the file; anything else
+    # replaces it. A RuntimeWarning fails the test (see pyproject.toml).
     def apply(doc):
         for part, value in edit.items():
             if isinstance(value, dict):

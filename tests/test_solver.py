@@ -533,14 +533,14 @@ def test_defect_at_the_root_matches_a_finer_table(name, monkeypatch):
     scale = np.abs(sv._piece_integrals(p, spec, ())[1]).sum()
     ours = boundary_defect(p.kappa0, spec)
     monkeypatch.setattr(sv, "ALPHA_PANELS", 128)
-    finer = boundary_defect(p.kappa0, spec)
-    assert len(sv._last_table[1][0]) == 129  # a new table, not the kept one
-    assert abs(ours - finer) <= 1e-14 * scale
+    edges, cum, _ = sv._alpha_tables(p, spec)  # uncached: the cache keeps no 128-panel table
+    assert len(edges) == 129
+    assert abs(ours - float(cum[-1])) <= 1e-14 * scale
 
 
-def test_kept_table_answers_alternating_profiles_as_fresh_builds(monkeypatch):
-    # alpha for three profiles in turn, each time through the kept table,
-    # equals alpha with no table kept, bit for bit; the second differs
+def test_kept_table_answers_alternating_profiles_as_fresh_builds():
+    # alpha for three profiles in turn, each time through the cached tables,
+    # equals alpha with an empty cache, bit for bit; the second differs
     # from the first in kappa0 alone, as in a tampered solution file
     ref, right = TABLE_SPECS["ref"], TABLE_SPECS["right-blowdown"]
     p = solve(ref).params
@@ -553,7 +553,7 @@ def test_kept_table_answers_alternating_profiles_as_fresh_builds(monkeypatch):
     kept = [alpha(s, q, spec) for spec, q, s in calls]
     fresh = []
     for spec, q, s in calls:
-        monkeypatch.setattr(sv, "_last_table", (None, None))
+        sv._alpha_table.cache_clear()
         fresh.append(alpha(s, q, spec))
     for a, b in zip(kept, fresh):
         assert np.array_equal(a, b)
@@ -915,6 +915,32 @@ def test_solve_calls_the_scalar_defect_only_in_the_root_polish(ref_spec, monkeyp
     assert prof.defect_at_root == defect(prof.params.kappa0, ref_spec)
 
 
+@pytest.mark.parametrize("name", ["ref", "blow", "three", "right", "both"])
+def test_solve_builds_one_table_per_defect_call(name, request, monkeypatch):
+    # the 64-point alpha check at the root reads the table that Brent's
+    # method built there, so solve builds one one-profile table for each
+    # defect call and none more
+    spec = request.getfixturevalue(f"{name}_spec")
+    builds, calls = [], []
+    tables, defect = sv._alpha_tables, sv.boundary_defect
+
+    def counted_tables(params, spec):
+        if np.ndim(params.kappa0) == 0:
+            builds.append(params.kappa0)
+        return tables(params, spec)
+
+    def counted_defect(*args):
+        calls.append(args[0])
+        return defect(*args)
+
+    monkeypatch.setattr(sv, "_alpha_tables", counted_tables)
+    monkeypatch.setattr(sv, "boundary_defect", counted_defect)
+    sv._alpha_table.cache_clear()
+    solve(spec)
+    assert calls
+    assert len(builds) == len(calls)
+
+
 @pytest.mark.parametrize("module, n", [(sv, 16), (geometry, 6)])
 def test_written_out_gauss_legendre_rules_are_leggauss(module, n):
     # bit for bit with numpy 2.4; another LAPACK build may move a last bit
@@ -925,16 +951,19 @@ def test_written_out_gauss_legendre_rules_are_leggauss(module, n):
 
 def test_panel_edges_are_linspace_bit_for_bit():
     # the table's edges are written out in linspace's arithmetic: half the
-    # panels on either side of the break, or of s_*/2 where it is NaN
+    # panels on either side of the break, which alpha reads back as the
+    # middle edge
     rng = np.random.default_rng(5)
     s_star = rng.uniform(1e-3, 1e3, 500)
-    brk = np.where(rng.random(500) < 0.5, s_star * rng.random(500), np.nan)
+    brk = s_star * rng.random(500)
     edges = sv._panel_edges(s_star, brk)
     half = sv.ALPHA_PANELS // 2
     for e, s, b in zip(edges, s_star, brk):
-        mid = 0.5 * s if np.isnan(b) else b
-        want = np.concatenate([np.linspace(0.0, mid, half + 1), np.linspace(mid, s, half + 1)[1:]])
+        want = np.concatenate([np.linspace(0.0, b, half + 1), np.linspace(b, s, half + 1)[1:]])
         assert np.array_equal(e, want)
+        assert e[half] == b
+    for s, b in zip(s_star[:20].tolist(), brk[:20].tolist()):
+        assert sv._panel_edges(np.float64(s), np.float64(b))[half] == b
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))

@@ -273,7 +273,7 @@ def test_corrupted_alpha_table_fails_the_quad_spot_check(name, request, monkeypa
     # anchors alpha on the tail sums
     spec = request.getfixturevalue(f"{name}_spec")
     profile = request.getfixturevalue(f"{name}_profile")
-    # uncorrupted it passes, and its own table becomes the kept one (see solver._alpha_table)
+    # uncorrupted it passes, and its own table is cached (see solver._alpha_table)
     assert verify(profile, spec, grid_size=65).checks["alpha_quad_spot"]["passed"]
     build = solver._alpha_table
 
