@@ -17,10 +17,8 @@ from .closedform import (
     coefficients_A,
     endpoint_quadratic_roots,
     energy_from_kappa0,
-    kappa0_and_sstar,
     params_from_kappa0,
     phi,
-    phi_prime,
     V,
 )
 from .errors import (

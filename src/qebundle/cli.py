@@ -157,12 +157,12 @@ def cmd_profile(args) -> int:
 
 
 def _case_no_blowdown_length():
-    """s_* = 4 for every E when both ends collapse smoothly."""
+    """s_* = 4 for every kappa0 when both ends collapse smoothly."""
     spec = BundleSpec(factors=(FactorSpec(1, 2, 1),), m=2.0)
     rows = []
-    for E in (0.1, 1.0, 10.0, 100.0):
-        _, s_star = cf.kappa0_and_sstar(E, spec)
-        rows.append((f"E={E:<6g} s_*={s_star!r}", abs(s_star - 4.0), 1e-12))
+    for kappa0 in (0.1, 1.0, 10.0, 100.0):
+        s_star = cf.params_from_kappa0(kappa0, spec).s_star
+        rows.append((f"kappa0={kappa0:<6g} s_*={s_star!r}", abs(s_star - 4.0), 1e-12))
     return rows
 
 
@@ -260,7 +260,9 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all_ok else EXIT_NOT_CERTIFIED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qe parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="qe",
         description="Quasi-Einstein profiles on sphere bundles: solve, certify, export.",
@@ -309,14 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built once per process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as err:

@@ -5,14 +5,17 @@ beta_i = g_i^2, phi = v), the standard ansatz
 
     beta_i''/beta_i - (1/2)(beta_i'/beta_i)^2 + q_i^2/(2 beta_i^2) = 0
 
-forces phi to be linear, phi = kappa1*(s + kappa0), and every beta_i to
-be the quadratic
+forces phi to be linear, phi = s + kappa0 (scaling phi, and so the
+potential, leaves the quasi-Einstein equation unchanged), and every
+beta_i to be the quadratic
 
     beta_i(s) = A_i*(s + kappa0)^2 - q_i^2/(4 A_i),
 
 with each coefficient A_i tied to the single consistency constant
 
-    E = (8 A_i p_i - eps q_i^2) / (8 A_i^2) = mu / kappa1^2.
+    E = (8 A_i p_i - eps q_i^2) / (8 A_i^2),
+
+which is also the constant mu of the first integral.
 
 Smooth closure at the two ends pins kappa0 and the interval length s_*
 to roots of one endpoint quadratic each,
@@ -33,7 +36,6 @@ verifier.sample_at, the one evaluator of the profile's derivatives.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
 from dataclasses import dataclass
@@ -58,22 +60,17 @@ class SolutionParams:
 
     kappa0 : shift of the s-coordinate, the large root of the left-end
         quadratic and the one free scalar (> 0).
-    kappa1 : scale of phi; free, defaults to 1. Rescaling kappa1 leaves
-        the metric and all residuals invariant and scales mu by
-        kappa1^2.
-    E : the consistency constant shared by all factors.
-    mu : the first-integral constant, mu = E * kappa1^2 exactly.
+    E : the consistency constant shared by all factors, and the
+        first-integral constant mu.
     s_star : interval length; -(s_star + kappa0) is the small root of
         the right-end quadratic.
     A : tuple of r quadratic coefficients A_i.
-    For kappa0 rows (params_from_kappa0 on a (K, 1) column) all but
-    kappa1 are (K, 1) columns.
+    For kappa0 rows (params_from_kappa0 on a (K, 1) column) every field
+    is a (K, 1) column.
     """
 
     kappa0: float
-    kappa1: float
     E: float
-    mu: float
     s_star: float
     A: tuple
 
@@ -137,29 +134,6 @@ def energy_from_kappa0(kappa0, n_left: int):
     return 0.5 * kappa0 * kappa0 + 2.0 * (n_left + 1) * kappa0
 
 
-def kappa0_and_sstar(E, spec: BundleSpec) -> tuple:
-    """Endpoint shift and interval length for a given E.
-
-    kappa0 is the large root of the left-end quadratic and
-    s_* = -(small root of the right-end quadratic) - kappa0, i.e.
-    s_* + kappa0 = 2(n_R+1) + sqrt(4(n_R+1)^2 + 2E). For an
-    all-collapse configuration (n_L = n_R = 0) the two quadratics
-    coincide and s_* = 4 identically, for every E > 0. E may be an
-    array (a kappa0 axis): both then have its shape.
-
-    Raises
-    ------
-    NonPositiveKappa0Error
-        If the large left root is not positive (E <= 0 or NaN), at the first such E.
-    """
-    kappa0 = endpoint_quadratic_roots(E, spec.n_left).large
-    k = _first(_not_positive(kappa0))
-    if k is not None:
-        kappa0, E = float(np.ravel(kappa0)[k]), float(np.ravel(E)[k])
-        raise NonPositiveKappa0Error(f"large left root {kappa0} is not positive (E={E})")
-    return kappa0, -endpoint_quadratic_roots(E, spec.n_right).small - kappa0
-
-
 def coefficients_A(E, kappa0, s_star, spec: BundleSpec, root_signs=None) -> tuple:
     """Quadratic coefficients A_i for every factor.
 
@@ -207,16 +181,16 @@ def coefficients_A(E, kappa0, s_star, spec: BundleSpec, root_signs=None) -> tupl
     return tuple(map(_scalar_or_array, A))
 
 
-def params_from_kappa0(
-    kappa0, spec: BundleSpec, kappa1: float = 1.0, root_signs=None
-) -> SolutionParams:
+def params_from_kappa0(kappa0, spec: BundleSpec, root_signs=None) -> SolutionParams:
     """Assemble the full parameter set from the single free scalar kappa0.
 
     E comes from the left-end quadratic at kappa0, and s_* from the small
-    root of the right-end one and that kappa0. kappa0 may be an array, such
-    as a (K, 1) column of kappa0 rows: every field but kappa1 then has its
-    shape, each entry the scalar call's value. Raises NonPositiveKappa0Error
-    at the first entry where not (kappa0 > 0), so a NaN fails too.
+    root of the right-end one and that kappa0; when both ends collapse
+    (n_L = n_R = 0) the two quadratics coincide and s_* = 4 for every
+    kappa0. kappa0 may be an array, such as a (K, 1) column of kappa0
+    rows: every field then has its shape, each entry the scalar call's
+    value. Raises NonPositiveKappa0Error at the first entry where
+    not (kappa0 > 0), so a NaN fails too.
     """
     k = _first(_not_positive(kappa0))
     if k is not None:
@@ -224,18 +198,14 @@ def params_from_kappa0(
     E = energy_from_kappa0(kappa0, spec.n_left)
     s_star = -endpoint_quadratic_roots(E, spec.n_right).small - kappa0
     A = coefficients_A(E, kappa0, s_star, spec, root_signs=root_signs)
-    return SolutionParams(
-        kappa0=kappa0, kappa1=kappa1, E=E, mu=E * kappa1 * kappa1, s_star=s_star, A=A
-    )
+    return SolutionParams(kappa0=kappa0, E=E, s_star=s_star, A=A)
 
 
 def take_rows(params: SolutionParams, rows) -> SolutionParams:
     """The kappa0 rows of params (params_from_kappa0 on a (K, 1) column) at index ``rows``."""
-    return dataclasses.replace(
-        params,
+    return SolutionParams(
         kappa0=params.kappa0[rows],
         E=params.E[rows],
-        mu=params.mu[rows],
         s_star=params.s_star[rows],
         A=tuple(a[rows] for a in params.A),
     )
@@ -299,14 +269,9 @@ def beta_jet(s, params: SolutionParams, spec: BundleSpec):
 
 
 def phi(s, params: SolutionParams):
-    """phi(s) = kappa1 (s + kappa0)."""
-    out = params.kappa1 * (np.asarray(s, dtype=float) + params.kappa0)
+    """phi(s) = s + kappa0 (phi is linear: phi' = 1, phi'' = 0)."""
+    out = np.asarray(s, dtype=float) + params.kappa0
     return float(out) if np.ndim(s) == 0 else out
-
-
-def phi_prime(s, params: SolutionParams):
-    """phi'(s) = kappa1 (phi is linear; phi'' = 0)."""
-    return params.kappa1 if np.ndim(s) == 0 else np.full(np.shape(s), params.kappa1)
 
 
 def V(s, params: SolutionParams, spec: BundleSpec):

@@ -110,21 +110,21 @@ def _real(name, value):
 def _checked_params(params: cf.SolutionParams) -> cf.SolutionParams:
     """params with every entry a float, after checking that each is a real number.
 
-    kappa1 and s_star must also be finite and positive: nothing
-    downstream checks the sign of kappa1 (every residual is invariant
-    under it) and it scales phi, and every grid spans [0, s_star].
-    A NaN or an infinity elsewhere is left to the positivity checks,
-    past solution_from_dict's check of the integrand's sign change.
+    kappa0 and s_star must also be finite and positive: x = s + kappa0
+    must stay positive on [0, s_star], as phi and every power of x
+    need, and every grid spans [0, s_star]. A NaN or an infinity
+    elsewhere is left to the positivity checks, past
+    solution_from_dict's check of the integrand's sign change.
     """
     if not isinstance(params.A, tuple):
         raise ValueError(f"params.A must be a list, got {params.A!r}")
-    names = ("kappa0", "kappa1", "E", "mu", "s_star")
+    names = ("kappa0", "E", "s_star")
     values = {name: _real(name, getattr(params, name)) for name in names}
     A = tuple(_real(f"A[{i}]", a) for i, a in enumerate(params.A))
-    for name in ("kappa1", "s_star"):
+    for name in ("kappa0", "s_star"):
         if not (0.0 < values[name] < math.inf):
             raise ValueError(f"params.{name} must be finite and positive, got {values[name]!r}")
-    return dataclasses.replace(params, **values, A=A)
+    return cf.SolutionParams(**values, A=A)
 
 
 def solution_from_dict(doc: dict):
@@ -132,11 +132,12 @@ def solution_from_dict(doc: dict):
 
     Raises ValueError if doc, config or params is not an object, the
     spec fails validation, config fails SolverConfig's checks, a params
-    entry is not a real number, kappa1 or s_star is not finite and
+    entry is not a real number, kappa0 or s_star is not finite and
     positive, params.A does not hold one coefficient per factor, or the
     alpha integrand's sign change, sqrt(2E) - kappa0, is not inside
     (0, s_star) (it is for the closed forms of every kappa0 > 0, and the
-    alpha table splits its panels there).
+    alpha table splits its panels there). Keys that no field names are
+    ignored, so a file from an older version with more params keys loads.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a solution file must hold a JSON object, got {doc!r}")

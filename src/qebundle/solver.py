@@ -49,7 +49,9 @@ The scalar call keeps its parameters, its beta check, its break and
 its panel edges on scalars, and builds one array only for the
 (ALPHA_PANELS, 16) integrand nodes: the same IEEE operations, in the
 same order, as its scan row. Scalar and array part ways only inside
-small primitives (closedform._floats, _first, _even_edges).
+small primitives: closedform._floats, _scalar_or_array, _not_positive
+and _first, and here _even_edges, _panel_edges and the shape test at
+the top of _alpha_tables.
 Its scalars are np.float64, not Python floats, which keeps numpy's
 semantics at the edges: past kappa0 ~ 1e160 an A_i rounds to -0.0,
 and q_i^2/(4 A_i) is then -inf with a RuntimeWarning, where a Python
@@ -612,12 +614,7 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100, fa=None, fb=None):
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations, value is {xcur}")
 
 
-def solve(
-    spec: BundleSpec,
-    config: SolverConfig = None,
-    root_signs=None,
-    kappa1: float = 1.0,
-) -> SolvedProfile:
+def solve(spec: BundleSpec, config: SolverConfig = None, root_signs=None) -> SolvedProfile:
     """Locate kappa0 with alpha(s_*) = 0 by scan plus Brent's method.
 
     Scans ``config.scan_points`` log-uniform kappa0 values across the
@@ -711,7 +708,7 @@ def solve(
     # E - x^2/2 is 2(n_L+1) kappa0 > 0 at x = kappa0 and -2(n_R+1)(kappa0 + s_*) < 0
     # at x = kappa0 + s_*: at an exact root with every beta_i > 0 the integral from 0
     # rises, then falls to 0, so alpha is positive inside.
-    params = cf.params_from_kappa0(primary, spec, kappa1=kappa1, root_signs=root_signs)
+    params = cf.params_from_kappa0(primary, spec, root_signs=root_signs)
     s_grid = np.linspace(0.0, params.s_star, 66)[1:-1]
     require_positive_alpha(s_grid, alpha(s_grid, params, spec))
 

@@ -13,9 +13,10 @@ actually solves):
     (IV)  phi(phi''a + phi'a'/2) + phi phi'(a'/2 + L'a)
           + (m-1)(phi')^2 a - (eps/2) phi^2 = mu     (first integral)
 
-written with a = alpha, b_i = beta_i, L' = (log V)'. The verifier
+written with a = alpha, b_i = beta_i, L' = (log V)', and evaluated with
+phi' = 1 and phi'' = 0 for the linear phi = s + kappa0. The verifier
 evaluates all residuals on a Chebyshev-clustered interior grid, checks
-the first integral against its constant mu = E kappa1^2, the quadratic
+the first integral against its constant mu = E, the quadratic
 ansatz per factor, both endpoint quadratics, the boundary conditions
 (values directly, slopes by Richardson extrapolation — the outgoing
 slope -2 at s_* is emergent, never imposed), positivity, the leftover
@@ -71,7 +72,6 @@ class ProfileSample:
     beta_prime: np.ndarray
     beta_second: np.ndarray
     phi: np.ndarray
-    phi_prime: np.ndarray
     logV_prime: np.ndarray
     logV_second: np.ndarray
 
@@ -141,14 +141,13 @@ def sample_at(s, params: cf.SolutionParams, spec: BundleSpec) -> ProfileSample:
         beta_prime=bp,
         beta_second=bpp,
         phi=cf.phi(s, params),
-        phi_prime=cf.phi_prime(s, params),
         logV_prime=lp,
         logV_second=lpp,
     )
 
 
 def residual_25(sample: ProfileSample, spec: BundleSpec):
-    """Residual of equation (I); phi'' = 0 for the linear phi."""
+    """Residual of equation (I); phi' = 1 and phi'' = 0 for the linear phi."""
     n = cf.factor_constants(spec, np.ndim(sample.s))[0]
     b, bp, bpp = sample.beta, sample.beta_prime, sample.beta_second
     ansum = np.sum(n * (bpp / b - 0.5 * (bp / b) ** 2), axis=0)
@@ -156,7 +155,7 @@ def residual_25(sample: ProfileSample, spec: BundleSpec):
         0.5 * sample.alpha_second
         + 0.5 * sample.alpha_prime * sample.logV_prime
         + sample.alpha * ansum
-        + spec.m * sample.alpha_prime * sample.phi_prime / (2.0 * sample.phi)
+        + spec.m * sample.alpha_prime / (2.0 * sample.phi)
         - 0.5 * spec.epsilon
     )
 
@@ -169,7 +168,7 @@ def residual_26(sample: ProfileSample, spec: BundleSpec):
         0.5 * sample.alpha_second
         + 0.5 * sample.alpha_prime * sample.logV_prime
         - sample.alpha * qsum
-        + spec.m * sample.alpha_prime * sample.phi_prime / (2.0 * sample.phi)
+        + spec.m * sample.alpha_prime / (2.0 * sample.phi)
         - 0.5 * spec.epsilon
     )
 
@@ -184,19 +183,17 @@ def residual_27(sample: ProfileSample, spec: BundleSpec):
         + 0.5 * sample.alpha * bp * sample.logV_prime / b
         - p / b
         + q**2 * sample.alpha / (2.0 * b * b)
-        + 0.5 * spec.m * sample.alpha * bp * sample.phi_prime / (b * sample.phi)
+        + 0.5 * spec.m * sample.alpha * bp / (b * sample.phi)
         - 0.5 * spec.epsilon
     )
 
 
 def mu_of_s(sample: ProfileSample, spec: BundleSpec):
-    """LHS of the first integral (IV); constant = mu on exact solutions."""
+    """LHS of the first integral (IV); constant = mu = E on exact solutions."""
     return (
-        sample.phi * sample.phi_prime * sample.alpha_prime / 2.0
-        + sample.phi
-        * sample.phi_prime
-        * (sample.alpha_prime / 2.0 + sample.logV_prime * sample.alpha)
-        + (spec.m - 1.0) * sample.phi_prime**2 * sample.alpha
+        sample.phi * sample.alpha_prime / 2.0
+        + sample.phi * (sample.alpha_prime / 2.0 + sample.logV_prime * sample.alpha)
+        + (spec.m - 1.0) * sample.alpha
         - 0.5 * spec.epsilon * sample.phi**2
     )
 
@@ -269,7 +266,7 @@ def verify(
     mu_s = mu_of_s(sample, spec)
     ansatz = ansatz_residual(sample, spec).T
     ansatz_scaled = np.abs(ansatz) / _ansatz_scale(sample, spec).T
-    mu_dev = float(np.max(np.abs(mu_s - params.mu)) / max(1.0, abs(params.mu)))
+    mu_dev = float(np.max(np.abs(mu_s - params.E)) / max(1.0, abs(params.E)))
 
     # Boundary values and slopes. alpha(s_*) under a right blowdown is 0
     # by construction (see solver.alpha).

@@ -22,7 +22,7 @@ from qebundle import (
     chebyshev_grid,
     endpoint_quadratic_roots,
     energy_from_kappa0,
-    kappa0_and_sstar,
+    params_from_kappa0,
     sample_at,
     solve,
     verify,
@@ -71,11 +71,11 @@ def blow_report_512(blow_spec, blow_profile):
 
 def test_criterion_01_interval_length_is_four(ref_spec):
     worst = 0.0
-    for E in (0.1, 1.0, 10.0, 100.0):
-        _, s_star = kappa0_and_sstar(E, ref_spec)
+    for kappa0 in (0.1, 1.0, 10.0, 100.0):
+        s_star = params_from_kappa0(kappa0, ref_spec).s_star
         worst = max(worst, abs(s_star - 4.0))
     ok = worst < 1e-12
-    announce(1, ok, f"both-collapse s_* = 4 for E in {{0.1,1,10,100}}; max dev {worst:.2e}")
+    announce(1, ok, f"both-collapse s_* = 4 for kappa0 in {{0.1,1,10,100}}; max dev {worst:.2e}")
     assert ok
 
 
@@ -211,8 +211,6 @@ def test_criterion_08_exact_quadrature_oracle(ref_spec):
         prof = solve(spec)
         k0 = prof.params.kappa0
         for kappa0 in (k0, 0.5 * k0):  # at the root and off it
-            from qebundle.closedform import params_from_kappa0
-
             p = params_from_kappa0(kappa0, spec)
             exact, E, s_star, A = orc.poly_alpha(orc.REF_FACTORS, m, kappa0)
             s = rng.uniform(0.05 * s_star, 0.95 * s_star, 20)
@@ -253,7 +251,7 @@ def test_criterion_10_t_system_spot_check(ref_spec, ref_profile, blow_spec, blow
         q = np.array([[fac.q] for fac in spec.factors], dtype=float)
         f, g, v = np.sqrt(smp.alpha), np.sqrt(smp.beta), smp.phi
         f_t, f_tt = 0.5 * smp.alpha_prime, 0.5 * f * smp.alpha_second
-        g_t, v_t = f * smp.beta_prime / (2.0 * g), f * smp.phi_prime
+        g_t, v_t = f * smp.beta_prime / (2.0 * g), f  # v' = phi' = 1
         res = (
             f_tt / f
             + np.sum(2.0 * n * f_t * g_t / (f * g) - n * q**2 * f**2 / (2.0 * g**4), axis=0)

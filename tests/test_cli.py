@@ -1,5 +1,6 @@
 """Serialization formats and the command-line entry points."""
 
+import argparse
 import json
 import math
 import os
@@ -101,7 +102,7 @@ SOLUTION_KEYS = [
     "convention",
 ]
 CONFIG_KEYS = ["bracket", "scan_points", "root_tol"]
-PARAMS_KEYS = ["kappa0", "kappa1", "E", "mu", "s_star", "A"]
+PARAMS_KEYS = ["kappa0", "E", "s_star", "A"]
 REPORT_KEYS = [
     "grid",
     "res_25",
@@ -431,15 +432,19 @@ def test_dump_json_that_fails_leaves_the_file_alone(tmp_path):
 
 
 def test_cli_builds_its_parser_once(spec_file, monkeypatch):
-    parser = cli._parser()
+    # every ArgumentParser construction, the subcommands' parsers included
+    built, init = [], argparse.ArgumentParser.__init__
 
-    def refuse():
-        raise AssertionError("the parser was built again")
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
     assert main(["validate", spec_file]) == 0
+    first = len(built)
     assert main(["validate", spec_file]) == 0
-    assert cli._parser() is parser
+    assert built[0] == "qe" and len(built) == first
 
 
 def test_solution_reads_resolve_type_hints_once(solution_file):
@@ -664,12 +669,8 @@ BREAK_OUTSIDE = (
     [
         ({"params": {"kappa0": "8"}}, "params.kappa0 must be a real number, got '8'"),
         ({"params": {"A": ["x"]}}, "params.A[0] must be a real number, got 'x'"),
-        ({"params": {"mu": True}}, "params.mu must be a real number, got True"),
-        ({"params": {"kappa1": -1}}, "params.kappa1 must be finite and positive, got -1.0"),
-        (
-            {"params": {"kappa1": float("nan")}},
-            "params.kappa1 must be finite and positive, got nan",
-        ),
+        ({"params": {"kappa0": -1, "E": 2}}, "params.kappa0 must be finite and positive, got -1.0"),
+        ({"params": {"kappa0": 0}}, "params.kappa0 must be finite and positive, got 0.0"),
         ({"config": []}, "SolverConfig must be a JSON object, got []"),
         ({"params": []}, "SolutionParams must be a JSON object, got []"),
         ({"config": {"scan_points": "64"}}, "scan_points must be an int, got '64'"),
@@ -700,9 +701,8 @@ BREAK_OUTSIDE = (
     ids=[
         "string-kappa0",
         "string-A",
-        "bool-mu",
-        "kappa1=-1",
-        "kappa1=nan",
+        "kappa0=-1",
+        "kappa0=0",
         "config=list",
         "params=list",
         "string-scan_points",
@@ -724,7 +724,8 @@ def test_cli_solution_params_are_checked_on_read(
     solution_file, tmp_path, capsys, command, edit, message
 ):
     # a non-numeric entry used to end in a numpy traceback (exit 1), a
-    # negative kappa1 in a certified profile with u = nan in every CSV row,
+    # kappa0 of -1 with E = 2 (its sign change, at 3, is inside (0, 4)) in
+    # exit 4 from verify and a division by zero in profile's alpha at s = 1,
     # and a list for config or params, or a config entry of the wrong
     # type, in a TypeError traceback (exit 1). An E that puts the
     # integrand's sign change outside (0, s_star) used to reach the alpha
@@ -746,6 +747,26 @@ def test_cli_solution_params_are_checked_on_read(
     assert main([command, path, *args]) == 2
     assert message in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("name", ["ref", "blow", "right"])
+def test_cli_reads_solution_files_that_carry_kappa1_and_mu(request, tmp_path, name):
+    # files written while params held the gauge kappa1 = 1 and mu = E still
+    # load: verify and profile write the same bytes as for the current file
+    spec, profile = (request.getfixturevalue(f"{name}_{part}") for part in ("spec", "profile"))
+    new = solution_to_dict(profile, spec, SolverConfig())
+    p = new["params"]
+    old_params = {"kappa0": p["kappa0"], "kappa1": 1.0, "E": p["E"], "mu": p["E"]}
+    old = dict(new, params=dict(old_params, s_star=p["s_star"], A=p["A"]))
+    written = {}
+    for tag, doc in (("new", new), ("old", old)):
+        sol = tmp_path / f"{tag}.json"
+        report, csv_path, svg_path = (tmp_path / f"{tag}-out.{x}" for x in ("json", "csv", "svg"))
+        dump_json(doc, str(sol))
+        assert main(["verify", str(sol), "-o", str(report)]) == 0
+        assert main(["profile", str(sol), "--csv", str(csv_path), "--svg", str(svg_path)]) == 0
+        written[tag] = [path.read_bytes() for path in (report, csv_path, svg_path)]
+    assert written["old"] == written["new"]
 
 
 @pytest.mark.parametrize("doc", [[], 3, "x"], ids=["list", "number", "string"])

@@ -20,10 +20,8 @@ from qebundle import (
     coefficients_A,
     endpoint_quadratic_roots,
     energy_from_kappa0,
-    kappa0_and_sstar,
     params_from_kappa0,
     phi,
-    phi_prime,
     sample_at,
     V,
 )
@@ -84,7 +82,7 @@ def test_blowdown_energy_example():
 
 
 # ---------------------------------------------------------------------------
-# kappa0 and s_* from E
+# s_* from kappa0
 # ---------------------------------------------------------------------------
 
 
@@ -94,22 +92,21 @@ def make(factors, m=2.0, left=COLLAPSE, right=COLLAPSE):
 
 def test_interval_length_is_four_without_blowdowns():
     spec = make([(2, 3, 1)])
-    for E in (0.1, 1.0, 10.0, 100.0):
-        kappa0, s_star = kappa0_and_sstar(E, spec)
-        assert abs(s_star - 4.0) < 1e-12
-        assert kappa0 > 0.0
+    for kappa0 in (0.1, 1.0, 10.0, 100.0):
+        p = params_from_kappa0(kappa0, spec)
+        assert abs(p.s_star - 4.0) < 1e-12
         # both interval ends are roots of their endpoint quadratics
-        assert abs(quadratic_residual(kappa0, E, 0)) < 1e-12 * max(1.0, E)
-        assert abs(quadratic_residual(-(s_star + kappa0), E, 0)) < 1e-12 * max(1.0, E)
+        assert abs(quadratic_residual(p.kappa0, p.E, 0)) < 1e-12 * max(1.0, p.E)
+        assert abs(quadratic_residual(-(p.s_star + p.kappa0), p.E, 0)) < 1e-12 * max(1.0, p.E)
 
 
 def test_interval_length_left_blowdown_example():
-    # kappa0 = 2, n_1 = 1, collapse on the right: s_* = sqrt(24)
+    # kappa0 = 2, n_1 = 1, collapse on the right: Hall's interval formula
+    # s_* = sqrt(kappa0 (4(n_1+1) + kappa0) + 4(n_r+1)^2) - kappa0 + 2(n_r+1) = sqrt(24)
     spec = make([(1, 2, 1), (1, 3, 1)], left=BLOWDOWN)
-    E = energy_from_kappa0(2.0, 1)
-    kappa0, s_star = kappa0_and_sstar(E, spec)
-    assert kappa0 == pytest.approx(2.0, abs=1e-12)
-    assert s_star == pytest.approx(np.sqrt(24.0), abs=1e-12)
+    p = params_from_kappa0(2.0, spec)
+    assert p.E == energy_from_kappa0(2.0, 1)
+    assert p.s_star == pytest.approx(np.sqrt(24.0), abs=1e-12)
 
 
 def test_interval_length_both_blowdowns_same_dimension():
@@ -122,16 +119,8 @@ def test_interval_length_both_blowdowns_same_dimension():
             right=BLOWDOWN,
         )
         for kappa0 in (0.5, 2.0, 5.0):
-            E = energy_from_kappa0(kappa0, n)
-            k0, s_star = kappa0_and_sstar(E, spec)
-            assert k0 == pytest.approx(kappa0, abs=1e-12 * max(1.0, kappa0))
+            s_star = params_from_kappa0(kappa0, spec).s_star
             assert s_star == pytest.approx(4.0 * (n + 1), abs=1e-10)
-
-
-def test_nonpositive_kappa0_rejected():
-    spec = make([(2, 3, 1)])
-    with pytest.raises(NonPositiveKappa0Error):
-        kappa0_and_sstar(0.0, spec)
 
 
 def _scalar_message(call, x):
@@ -147,21 +136,16 @@ def test_params_on_a_kappa0_column_are_the_scalar_calls_bit_for_bit(request, spe
     # have no positive left root raises the first one's scalar error
     spec = request.getfixturevalue(spec_name)
     kappa0 = np.geomspace(1e-3, 1e3, 64)
-    rows = params_from_kappa0(kappa0[:, None], spec, kappa1=2.0)
-    scalar = [params_from_kappa0(float(k0), spec, kappa1=2.0) for k0 in kappa0]
-    want = np.array([[p.kappa0, p.E, p.mu, p.s_star, *p.A] for p in scalar])
-    got = np.hstack([rows.kappa0, rows.E, rows.mu, rows.s_star, *rows.A])
+    rows = params_from_kappa0(kappa0[:, None], spec)
+    scalar = [params_from_kappa0(float(k0), spec) for k0 in kappa0]
+    want = np.array([[p.kappa0, p.E, p.s_star, *p.A] for p in scalar])
+    got = np.hstack([rows.kappa0, rows.E, rows.s_star, *rows.A])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert rows.kappa1 == 2.0
 
     bad = np.array([1.0, 1e-20, -0.5, 2.0])  # -0.5 is the first that is not positive
     with pytest.raises(NonPositiveKappa0Error) as err:
         params_from_kappa0(bad[:, None], spec)
     assert str(err.value) == _scalar_message(lambda k0: params_from_kappa0(k0, spec), -0.5)
-    E = energy_from_kappa0(bad, spec.n_left)
-    with pytest.raises(NonPositiveKappa0Error) as err:
-        kappa0_and_sstar(E, spec)
-    assert str(err.value) == _scalar_message(lambda e: kappa0_and_sstar(e, spec), E[2])
 
 
 @pytest.mark.parametrize("spec_name", ["ref_spec", "blow_spec", "right_spec", "both_spec"])
@@ -217,47 +201,40 @@ def test_large_root_and_default_a_root_are_exact_over_every_scale():
 
 def test_left_blowdown_coefficient_is_half_inverse_kappa0():
     spec = make([(1, 2, 1), (1, 3, 1)], left=BLOWDOWN)
-    E = energy_from_kappa0(2.0, 1)
-    kappa0, s_star = kappa0_and_sstar(E, spec)
-    A = coefficients_A(E, kappa0, s_star, spec)
-    assert A[0] == pytest.approx(1.0 / (2.0 * kappa0), abs=1e-14)
+    A = params_from_kappa0(2.0, spec).A
+    assert A[0] == pytest.approx(1.0 / (2.0 * 2.0), abs=1e-14)
 
 
 def test_right_blowdown_coefficient_is_minus_half_inverse_sigma():
     spec = make([(1, 3, 1), (1, 2, 1)], right=BLOWDOWN)
-    E = 6.0
-    kappa0, s_star = kappa0_and_sstar(E, spec)
-    A = coefficients_A(E, kappa0, s_star, spec)
-    assert A[-1] == pytest.approx(-1.0 / (2.0 * (s_star + kappa0)), abs=1e-14)
+    p = params_from_kappa0(2.0, spec)  # E = 6
+    assert p.A[-1] == pytest.approx(-1.0 / (2.0 * (p.s_star + p.kappa0)), abs=1e-14)
 
 
 def test_interior_coefficient_solves_energy_identity():
     # E = (8 A p - eps q^2) / (8 A^2) must hold for the returned A,
     # whichever root is taken
     spec = make([(2, 3, 1)])
-    E = 6.0
-    kappa0, s_star = kappa0_and_sstar(E, spec)
+    p = params_from_kappa0(2.0, spec)  # E = 6
     for signs in ((-1,), (+1,)):
-        (a,) = coefficients_A(E, kappa0, s_star, spec, root_signs=signs)
-        assert (8.0 * a * 3 + 1) / (8.0 * a * a) == pytest.approx(E, rel=1e-12)
+        (a,) = coefficients_A(p.E, p.kappa0, p.s_star, spec, root_signs=signs)
+        assert (8.0 * a * 3 + 1) / (8.0 * a * a) == pytest.approx(p.E, rel=1e-12)
 
 
 def test_interior_root_pair_signs():
     # the two roots have product eps q^2 / (8E) < 0: one of each sign
     spec = make([(2, 3, 1)])
-    E = 6.0
-    kappa0, s_star = kappa0_and_sstar(E, spec)
-    (neg,) = coefficients_A(E, kappa0, s_star, spec, root_signs=(-1,))
-    (pos,) = coefficients_A(E, kappa0, s_star, spec, root_signs=(+1,))
+    p = params_from_kappa0(2.0, spec)  # E = 6
+    (neg,) = coefficients_A(p.E, p.kappa0, p.s_star, spec, root_signs=(-1,))
+    (pos,) = coefficients_A(p.E, p.kappa0, p.s_star, spec, root_signs=(+1,))
     assert neg < 0.0 < pos
-    assert neg * pos == pytest.approx(-1.0 / (8.0 * E), rel=1e-12)
+    assert neg * pos == pytest.approx(-1.0 / (8.0 * p.E), rel=1e-12)
 
 
 def test_positive_root_example():
     spec = make([(1, 3, 1)])
-    E = 6.0
-    kappa0, s_star = kappa0_and_sstar(E, spec)
-    (a,) = coefficients_A(E, kappa0, s_star, spec, root_signs=(+1,))
+    p = params_from_kappa0(2.0, spec)  # E = 6
+    (a,) = coefficients_A(p.E, p.kappa0, p.s_star, spec, root_signs=(+1,))
     assert a == pytest.approx((3.0 + np.sqrt(9.0 + 3.0)) / 12.0, abs=1e-14)
 
 
@@ -309,18 +286,16 @@ def test_blowdown_boundary_values_of_beta(blow_profile, blow_spec):
 
 def test_right_blowdown_boundary_values_of_beta():
     spec = make([(1, 3, 1), (1, 2, 1)], right=BLOWDOWN)
-    E = 6.0
-    kappa0, s_star = kappa0_and_sstar(E, spec)
-    p = params_from_kappa0(kappa0, spec)
-    assert abs(beta(s_star, p, spec)[1]) < 1e-14
-    assert beta_jet(s_star, p, spec)[1][1] == pytest.approx(-1.0, abs=1e-14)
+    p = params_from_kappa0(2.0, spec)  # E = 6
+    assert abs(beta(p.s_star, p, spec)[1]) < 1e-14
+    assert beta_jet(p.s_star, p, spec)[1][1] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_phi_is_linear(ref_profile):
     p = ref_profile.params
-    assert phi(0.0, p) == p.kappa1 * p.kappa0
-    assert phi(1.7, p) == pytest.approx(p.kappa1 * (1.7 + p.kappa0), rel=1e-15)
-    assert phi_prime(0.3, p) == phi_prime(3.1, p) == p.kappa1
+    assert phi(0.0, p) == p.kappa0
+    assert phi(1.7, p) == 1.7 + p.kappa0
+    assert np.array_equal(phi(np.array([0.3, 3.1]), p), np.array([0.3, 3.1]) + p.kappa0)
 
 
 def test_V_is_product_of_beta_powers(blow_profile, blow_spec):
@@ -384,9 +359,7 @@ def test_positivity_check_flags_broken_coefficients(ref_profile, ref_spec):
     from qebundle import SolutionParams
 
     p = ref_profile.params
-    bad = SolutionParams(
-        kappa0=p.kappa0, kappa1=p.kappa1, E=p.E, mu=p.mu, s_star=p.s_star, A=(1e-4,)
-    )
+    bad = SolutionParams(kappa0=p.kappa0, E=p.E, s_star=p.s_star, A=(1e-4,))
     with pytest.raises(PositivityError) as err:
         require_positive_beta(bad, ref_spec)
     assert err.value.factor == 1
@@ -422,17 +395,3 @@ def test_positivity_check_matches_factor_by_factor_reference(request, spec_name)
         assert got == want
         outcomes.add(want is None)
     assert outcomes == {True, False}
-
-
-def test_kappa1_scales_phi_and_mu_only(ref_spec):
-    p1 = params_from_kappa0(8.0, ref_spec, kappa1=1.0)
-    p3 = params_from_kappa0(8.0, ref_spec, kappa1=3.0)
-    assert p3.kappa0 == p1.kappa0 and p3.s_star == p1.s_star and p3.A == p1.A
-    assert p3.E == p1.E
-    assert p3.mu == pytest.approx(9.0 * p1.mu, rel=1e-15)
-    assert phi(1.0, p3) == pytest.approx(3.0 * phi(1.0, p1), rel=1e-15)
-
-
-def test_mu_is_E_times_kappa1_squared(ref_profile):
-    p = ref_profile.params
-    assert p.mu == pytest.approx(p.E * p.kappa1**2, rel=1e-15)

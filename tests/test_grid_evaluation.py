@@ -62,7 +62,7 @@ ON_POINTS = {
     "logV_second": _sampled("logV_second"),
     "V": V,
     "beta": _sampled("beta", "beta_prime", "beta_second"),
-    "phi": _sampled("phi", "phi_prime"),
+    "phi": _sampled("phi"),
 }
 
 

@@ -269,14 +269,6 @@ def test_solve_no_sign_change_for_wrong_root(ref_spec):
     assert "scan" in str(err.value).lower()
 
 
-def test_solve_kappa1_rescales_nothing_geometric(ref_spec, ref_profile):
-    prof3 = solve(ref_spec, kappa1=3.0)
-    assert prof3.params.kappa0 == pytest.approx(ref_profile.params.kappa0, abs=1e-12)
-    assert prof3.params.s_star == pytest.approx(ref_profile.params.s_star, abs=1e-14)
-    assert prof3.params.A == pytest.approx(ref_profile.params.A, rel=1e-14)
-    assert prof3.params.mu == pytest.approx(9.0 * ref_profile.params.mu, rel=1e-12)
-
-
 def test_solve_is_invariant_under_twisting_sign(ref_profile):
     spec_neg = BundleSpec(factors=(FactorSpec(2, 3, -1),), m=2.0)
     prof_neg = solve(spec_neg)

@@ -69,7 +69,7 @@ def test_residual_25_sees_alpha_prime_perturbation(ref_profile, ref_spec):
     smp = sample_at(s, p, ref_spec)
     bumped = dataclasses.replace(smp, alpha_prime=smp.alpha_prime + h)
     shift = residual_25(bumped, ref_spec) - residual_25(smp, ref_spec)
-    slope = 0.5 * smp.logV_prime + ref_spec.m * smp.phi_prime / (2.0 * smp.phi)
+    slope = 0.5 * smp.logV_prime + ref_spec.m / (2.0 * smp.phi)
     assert shift == pytest.approx(h * slope, rel=1e-9)
     assert abs(shift) > 1e-5
     assert abs(residual_25(bumped, ref_spec)) > 1e-8
@@ -83,31 +83,11 @@ def test_residual_27_reduces_to_left_quadratic_at_zero(ref_profile, ref_spec):
     assert (bp[0] - 3.0) / b[0] == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_mu_samples_equal_E_kappa1_squared(ref_profile, ref_spec):
+def test_mu_samples_equal_E(ref_profile, ref_spec):
     p = ref_profile.params
     for s in (0.6, 2.0, 3.4):
         smp = sample_at(s, p, ref_spec)
-        assert mu_of_s(smp, ref_spec) == pytest.approx(p.E * p.kappa1**2, rel=1e-10)
-
-
-def test_mu_scales_as_kappa1_squared(ref_spec, ref_profile):
-    k0 = ref_profile.params.kappa0
-    p1 = params_from_kappa0(k0, ref_spec, kappa1=1.0)
-    p2 = params_from_kappa0(k0, ref_spec, kappa1=2.0)
-    s = 1.5
-    m1 = mu_of_s(sample_at(s, p1, ref_spec), ref_spec)
-    m2 = mu_of_s(sample_at(s, p2, ref_spec), ref_spec)
-    assert m2 == pytest.approx(4.0 * m1, rel=1e-12)
-
-
-def test_residuals_invariant_under_kappa1(ref_spec, ref_profile):
-    k0 = ref_profile.params.kappa0
-    p1 = params_from_kappa0(k0, ref_spec, kappa1=1.0)
-    p2 = params_from_kappa0(k0, ref_spec, kappa1=5.0)
-    for s in (0.8, 2.6):
-        r1 = residual_25(sample_at(s, p1, ref_spec), ref_spec)
-        r2 = residual_25(sample_at(s, p2, ref_spec), ref_spec)
-        assert r1 == pytest.approx(r2, abs=1e-13)
+        assert mu_of_s(smp, ref_spec) == pytest.approx(p.E, rel=1e-10)
 
 
 def test_residuals_invariant_under_twisting_sign(ref_profile, ref_spec):
@@ -230,9 +210,7 @@ def test_nan_alpha_fails_positivity(ref_profile, ref_spec, monkeypatch):
 
 def test_broken_beta_raises_positivity_error(ref_profile, ref_spec):
     p = ref_profile.params
-    broken = SolutionParams(
-        kappa0=p.kappa0, kappa1=p.kappa1, E=p.E, mu=p.mu, s_star=p.s_star, A=(1e-4,)
-    )
+    broken = SolutionParams(kappa0=p.kappa0, E=p.E, s_star=p.s_star, A=(1e-4,))
     prof = SolvedProfile(
         params=broken,
         defect_at_root=0.0,
