@@ -7,36 +7,22 @@ evaluates alpha from a fixed-order quadrature table and roots the
 remaining boundary condition alpha(s_*) = 0 over kappa0; the verifier
 certifies the result against every equation, boundary condition and positivity
 requirement with quantified tolerances.
+
+Only `errors` and `spec` load with the package: they need no numpy, so
+validating a spec never imports it. Every other export, and the numeric
+submodules themselves, load on first use. An export is looked up in its
+home module on every access, never stored here, so a replaced
+`solver.solve` is what `qebundle.solve` returns.
 """
 
-from .closedform import (
-    QuadraticRoots,
-    SolutionParams,
-    beta,
-    beta_jet,
-    coefficients_A,
-    endpoint_quadratic_roots,
-    energy_from_kappa0,
-    params_from_kappa0,
-    phi,
-    V,
-)
+import importlib
+
 from .errors import (
     NegativeDiscriminantError,
     NonPositiveKappa0Error,
     NoSignChangeError,
     PositivityError,
     QEError,
-)
-from .geometry import MetricProfile, reconstruct_t
-from .solver import (
-    SolvedProfile,
-    SolverConfig,
-    alpha,
-    alpha_integrand,
-    boundary_defect,
-    boundary_slopes,
-    solve,
 )
 from .spec import (
     BundleSpec,
@@ -46,17 +32,81 @@ from .spec import (
     spec_to_dict,
     validate_spec,
 )
-from .verifier import (
-    ProfileSample,
-    ResidualReport,
-    ansatz_residual,
-    chebyshev_grid,
-    mu_of_s,
-    residual_25,
-    residual_26,
-    residual_27,
-    sample_at,
-    verify,
-)
+
+# Each numeric export and the module that defines it.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "QuadraticRoots",
+            "SolutionParams",
+            "beta",
+            "beta_jet",
+            "coefficients_A",
+            "endpoint_quadratic_roots",
+            "energy_from_kappa0",
+            "params_from_kappa0",
+            "phi",
+            "V",
+        ),
+        "closedform",
+    ),
+    **dict.fromkeys(("MetricProfile", "reconstruct_t"), "geometry"),
+    **dict.fromkeys(
+        (
+            "SolvedProfile",
+            "SolverConfig",
+            "alpha",
+            "alpha_integrand",
+            "boundary_defect",
+            "boundary_slopes",
+            "solve",
+        ),
+        "solver",
+    ),
+    **dict.fromkeys(
+        (
+            "ProfileSample",
+            "ResidualReport",
+            "ansatz_residual",
+            "chebyshev_grid",
+            "mu_of_s",
+            "residual_25",
+            "residual_26",
+            "residual_27",
+            "sample_at",
+            "verify",
+        ),
+        "verifier",
+    ),
+}
+_SUBMODULES = ("closedform", "geometry", "solver", "verifier")
+
+__all__ = [
+    "NegativeDiscriminantError",
+    "NonPositiveKappa0Error",
+    "NoSignChangeError",
+    "PositivityError",
+    "QEError",
+    "BundleSpec",
+    "EndpointType",
+    "FactorSpec",
+    "spec_from_dict",
+    "spec_to_dict",
+    "validate_spec",
+    *_LAZY,
+]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_SUBMODULES})

@@ -16,16 +16,40 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
+import json
 import math
 import sys
 
-from . import closedform as cf
-from . import output as io
-from . import solver as sv
-from . import verifier as vf
 from .errors import NoSignChangeError, PositivityError, QEError
-from .geometry import reconstruct_t
 from .spec import BundleSpec, EndpointType, FactorSpec, spec_from_dict, validate_spec
+
+
+def _lazy(name):
+    """Submodule `name` of this package, executed on its first attribute access.
+
+    `validate` needs only `spec`, so it never imports numpy. The module
+    is registered in sys.modules (and on the package) from the start,
+    as an eager import would leave it, so code that walks sys.modules to
+    wrap the layers' functions (perfbench/tracer.py) still finds it.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+cf = _lazy("closedform")
+geometry = _lazy("geometry")
+io = _lazy("output")
+sv = _lazy("solver")
+vf = _lazy("verifier")
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -35,9 +59,8 @@ EXIT_NOT_CERTIFIED = 4
 
 
 def _load_spec(path):
-    doc = io.load_json(path)
-    spec = spec_from_dict(doc)
-    return spec
+    with open(path) as fh:
+        return spec_from_dict(json.load(fh))
 
 
 def _config_from_args(args) -> sv.SolverConfig:
@@ -139,7 +162,7 @@ def cmd_profile(args) -> int:
     spec, profile, _ = io.solution_from_dict(io.load_json(args.solution))
     params = profile.params
     try:
-        mp = reconstruct_t(params, spec, grid_size=args.grid)
+        mp = geometry.reconstruct_t(params, spec, grid_size=args.grid)
     except PositivityError as err:
         print(f"profile FAILED: {err}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED

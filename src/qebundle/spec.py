@@ -248,10 +248,14 @@ def spec_from_dict(doc: dict) -> BundleSpec:
     m = doc["m"]
     if isinstance(m, bool) or not isinstance(m, (int, float, str)):
         raise ValueError(f"spec: 'm' must be a number, got {m!r}")
+    try:
+        m = float(m)
+    except OverflowError:  # an int past the largest float, about 1.8e308
+        raise ValueError("spec: 'm' must be finite, got an integer past the float range") from None
 
     return BundleSpec(
         factors=tuple(factors),
-        m=float(m),
+        m=m,
         left=endpoint("left"),
         right=endpoint("right"),
     )

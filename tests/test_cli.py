@@ -389,6 +389,23 @@ def test_cli_factor_data_past_2_to_the_53_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == "violation: factor 1: n, p and |q| must be at most 2**53\n"
 
 
+HUGE_M_ERROR = "error: spec: 'm' must be finite, got an integer past the float range\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "verify", "profile"])
+def test_cli_integer_m_past_the_float_range_exits_2(tmp_path, capsys, solution_file, command):
+    # float(10**400) raised OverflowError, and every command exited 1 with a traceback
+    huge = 10**400
+    if command in ("validate", "solve"):
+        path = tmp_path / "huge_m.json"
+        path.write_text(json.dumps(dict(REF_DOC, m=huge)))
+    else:
+        path = _edited_solution(solution_file, tmp_path, lambda doc: doc["spec"].update(m=huge))
+    capsys.readouterr()  # drop what solving the fixture printed
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == HUGE_M_ERROR
+
+
 def test_cli_missing_file_is_internal_error(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
@@ -909,6 +926,125 @@ def test_cli_runs_without_scipy(spec_file, solution_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "exit codes: [0, 0, 0, 0, 0, 0, 0]" in proc.stdout
     assert Path(paths[0]).read_bytes() == Path(solution_file).read_bytes()
+
+
+NO_NUMPY_SCRIPT = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # any import of numpy or a submodule now fails
+import qebundle
+import qebundle.cli
+from qebundle.cli import main
+codes = [main(["validate", path]) for path in sys.argv[2:]]
+print("exit codes:", codes)
+print("numpy modules:", sorted(n for n, m in sys.modules.items() if n.split(".")[0] == "numpy" and m))
+print("numpy in sys.modules:", "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["numpy-blocked", "numpy-present"])
+def test_cli_validate_runs_without_numpy(spec_file, tmp_path, block):
+    # validate needs only spec and errors: the numeric layers load on first use
+    violation, malformed = tmp_path / "violation.json", tmp_path / "malformed.json"
+    violation.write_text(json.dumps(dict(REF_DOC, factors=[{"n": 1, "p": 2, "q": 2}])))
+    malformed.write_text(json.dumps(dict(REF_DOC, typo=1)))
+    src_root = str(Path(qebundle.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    mode = "block" if block else "allow"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, mode, spec_file, str(violation), str(malformed)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exit codes: [0, 2, 2]" in proc.stdout
+    assert "numpy modules: []" in proc.stdout
+    # blocked, sys.modules holds numpy's None entry and nothing replaced it
+    assert f"numpy in sys.modules: {block}" in proc.stdout
+
+
+# The package's exports when it imported every layer eagerly, by home module.
+EXPORTS = {
+    "closedform": [
+        "QuadraticRoots",
+        "SolutionParams",
+        "beta",
+        "beta_jet",
+        "coefficients_A",
+        "endpoint_quadratic_roots",
+        "energy_from_kappa0",
+        "params_from_kappa0",
+        "phi",
+        "V",
+    ],
+    "errors": [
+        "NegativeDiscriminantError",
+        "NonPositiveKappa0Error",
+        "NoSignChangeError",
+        "PositivityError",
+        "QEError",
+    ],
+    "geometry": ["MetricProfile", "reconstruct_t"],
+    "solver": [
+        "SolvedProfile",
+        "SolverConfig",
+        "alpha",
+        "alpha_integrand",
+        "boundary_defect",
+        "boundary_slopes",
+        "solve",
+    ],
+    "spec": [
+        "BundleSpec",
+        "EndpointType",
+        "FactorSpec",
+        "spec_from_dict",
+        "spec_to_dict",
+        "validate_spec",
+    ],
+    "verifier": [
+        "ProfileSample",
+        "ResidualReport",
+        "ansatz_residual",
+        "chebyshev_grid",
+        "mu_of_s",
+        "residual_25",
+        "residual_26",
+        "residual_27",
+        "sample_at",
+        "verify",
+    ],
+}
+
+
+def test_package_exports_resolve_in_their_home_modules():
+    names = [name for group in EXPORTS.values() for name in group]
+    assert sorted(qebundle.__all__) == sorted(names)
+    assert set(names) <= set(dir(qebundle))
+    for module, group in EXPORTS.items():
+        home = getattr(qebundle, module)
+        assert home.__name__ == f"qebundle.{module}"
+        for name in group:
+            assert getattr(qebundle, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        qebundle.no_such_name
+
+
+def test_package_exports_are_looked_up_on_every_access(monkeypatch):
+    # nothing is cached on the package: a tracer or a test that replaces
+    # solver.solve replaces qebundle.solve too
+    def replacement(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(qebundle.solver, "solve", replacement)
+    assert qebundle.solve is replacement
+    from qebundle import solve as imported
+
+    assert imported is replacement
+    monkeypatch.undo()
+    assert qebundle.solve is qebundle.solver.solve is not replacement
 
 
 def test_blowdown_solution_through_cli(tmp_path, capsys):
