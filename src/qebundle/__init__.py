@@ -9,13 +9,15 @@ certifies the result against every equation, boundary condition and positivity
 requirement with quantified tolerances.
 
 Only `errors` and `spec` load with the package: they need no numpy, so
-validating a spec never imports it. Every other export, and the numeric
-submodules themselves, load on first use. An export is looked up in its
-home module on every access, never stored here, so a replaced
-`solver.solve` is what `qebundle.solve` returns.
+validating a spec never imports it. The numeric submodules are
+registered with it as lazy modules, and each executes on its first
+attribute access. An export is looked up in its home module on every
+access, never stored here, so a replaced `solver.solve` is what
+`qebundle.solve` returns.
 """
 
-import importlib
+import importlib.util
+import sys
 
 from .errors import (
     NegativeDiscriminantError,
@@ -32,6 +34,28 @@ from .spec import (
     spec_to_dict,
     validate_spec,
 )
+
+
+def _lazy(name):
+    """Submodule `name` of this package, executed on its first attribute access.
+
+    It is registered in sys.modules, as an eager import would leave it,
+    so code that walks sys.modules to wrap the layers' functions
+    (perfbench/tracer.py) still finds it.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+closedform = _lazy("closedform")
+geometry = _lazy("geometry")
+output = _lazy("output")
+solver = _lazy("solver")
+verifier = _lazy("verifier")
 
 # Each numeric export and the module that defines it.
 _LAZY = {
@@ -79,7 +103,6 @@ _LAZY = {
         "verifier",
     ),
 }
-_SUBMODULES = ("closedform", "geometry", "solver", "verifier")
 
 __all__ = [
     "NegativeDiscriminantError",
@@ -100,13 +123,11 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
     home = _LAZY.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    return getattr(globals()[home], name)
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY, *_SUBMODULES})
+    return sorted({*globals(), *_LAZY})

@@ -6,50 +6,27 @@ validate  check a spec JSON against the structural/existence hypotheses
 solve     locate the boundary-defect root and write solution JSON
 verify    certify a solution JSON, write the residual report JSON
 profile   export profile CSV and SVG plots from a solution JSON
-reproduce run one of the built-in closed-form consistency cases
 
 Exit codes: 0 ok, 2 invalid spec, 3 no defect root in the bracket,
 4 certification failure, 1 internal error.
+
+The numeric layers are the package's lazy modules (see qebundle), so
+`validate`, which needs only `spec`, never imports numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib.util
 import json
-import math
 import sys
 
+from . import geometry
+from . import output as io
+from . import solver as sv
+from . import verifier as vf
 from .errors import NoSignChangeError, PositivityError, QEError
-from .spec import BundleSpec, EndpointType, FactorSpec, spec_from_dict, validate_spec
-
-
-def _lazy(name):
-    """Submodule `name` of this package, executed on its first attribute access.
-
-    `validate` needs only `spec`, so it never imports numpy. The module
-    is registered in sys.modules (and on the package) from the start,
-    as an eager import would leave it, so code that walks sys.modules to
-    wrap the layers' functions (perfbench/tracer.py) still finds it.
-    """
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-cf = _lazy("closedform")
-geometry = _lazy("geometry")
-io = _lazy("output")
-sv = _lazy("solver")
-vf = _lazy("verifier")
+from .spec import BundleSpec, spec_from_dict, validate_spec
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -174,115 +151,6 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# Reproduction cases: closed-form consistency checks with printed tables
-# ---------------------------------------------------------------------------
-
-
-def _case_no_blowdown_length():
-    """s_* = 4 for every kappa0 when both ends collapse smoothly."""
-    spec = BundleSpec(factors=(FactorSpec(1, 2, 1),), m=2.0)
-    rows = []
-    for kappa0 in (0.1, 1.0, 10.0, 100.0):
-        s_star = cf.params_from_kappa0(kappa0, spec).s_star
-        rows.append((f"kappa0={kappa0:<6g} s_*={s_star!r}", abs(s_star - 4.0), 1e-12))
-    return rows
-
-
-def _literal_interval_formula(kappa0, n1, nr):
-    """The interval length exactly as printed in the source formula."""
-    return (
-        math.sqrt(kappa0 * (4.0 * (n1 + 1) + kappa0) + 4.0 * (nr + 1) ** 2)
-        - kappa0
-        + 2.0 * (nr + 1)
-    )
-
-
-def _case_hall_interval_formula():
-    """Unified endpoint-quadratic s_* vs the literal closed formula."""
-    rows = []
-    for kappa0 in (0.5, 1.0, 2.0, 5.0):
-        for n1 in (0, 1, 2):
-            for nr in (0, 1, 2):
-                E = cf.energy_from_kappa0(kappa0, n1)
-                sigma = -cf.endpoint_quadratic_roots(E, nr).small
-                s_quad = sigma - kappa0
-                s_lit = _literal_interval_formula(kappa0, n1, nr)
-                rel = abs(s_quad - s_lit) / abs(s_lit)
-                rows.append(
-                    (f"kappa0={kappa0:<4g} n1={n1} nr={nr} s_*={s_quad:.12g}", rel, 1e-12)
-                )
-    return rows
-
-
-def _case_blowdown_consistency():
-    """Blowdown forcing: A_1 = 1/(2 kappa0), |q_1| = 1, E round-trip."""
-    rows = []
-    # E = kappa0/2 (4(n+1) + kappa0) inverts back through the quadratic.
-    for kappa0 in (0.5, 2.0, 5.0):
-        for n_end in (0, 1, 2):
-            E = cf.energy_from_kappa0(kappa0, n_end)
-            k0_check = cf.endpoint_quadratic_roots(E, n_end).large
-            rows.append(
-                (
-                    f"kappa0={kappa0:<4g} n_end={n_end} E-roundtrip={k0_check!r}",
-                    abs(k0_check - kappa0) / kappa0,
-                    1e-12,
-                )
-            )
-    # The blowdown boundary conditions pin A_1 to 1/(2 kappa0).
-    for kappa0 in (0.5, 2.0, 5.0):
-        for n1 in (1, 2):
-            spec = BundleSpec(
-                factors=(FactorSpec(n1, n1 + 1, 1), FactorSpec(1, n1 + 2, 1)),
-                m=2.0,
-                left=EndpointType.BLOWDOWN,
-            )
-            A = cf.params_from_kappa0(kappa0, spec).A
-            rows.append(
-                (
-                    f"kappa0={kappa0:<4g} n1={n1} A_1={A[0]!r}",
-                    abs(A[0] - 1.0 / (2.0 * kappa0)),
-                    1e-12,
-                )
-            )
-    # |q_1| = 1 is forced: q_1 = 2 must be rejected by validation.
-    bad = BundleSpec(
-        factors=(FactorSpec(1, 2, 2), FactorSpec(1, 3, 1)),
-        m=2.0,
-        left=EndpointType.BLOWDOWN,
-    )
-    forced = any("|q| = 1" in v for v in validate_spec(bad))
-    rows.append(("left blowdown with q_1=2 rejected", 0.0 if forced else 1.0, 0.5))
-    # Worked endpoint example: kappa0 = 2, n1 = 0 gives E = 6 with roots (-6, 2).
-    E = cf.energy_from_kappa0(2.0, 0)
-    roots = cf.endpoint_quadratic_roots(6.0, 0)
-    rows.append((f"kappa0=2 n1=0 -> E={E!r}", abs(E - 6.0), 1e-12))
-    rows.append(
-        (f"roots of E=6 quadratic = ({roots.small!r}, {roots.large!r})",
-         max(abs(roots.small + 6.0), abs(roots.large - 2.0)), 1e-12),
-    )
-    return rows
-
-
-_CASES = {
-    "no-blowdown-length": _case_no_blowdown_length,
-    "hall-interval-formula": _case_hall_interval_formula,
-    "blowdown-consistency": _case_blowdown_consistency,
-}
-
-
-def cmd_reproduce(args) -> int:
-    rows = _CASES[args.case]()
-    all_ok = True
-    for label, err, tol in rows:
-        ok = err <= tol
-        all_ok &= ok
-        print(f"{'pass' if ok else 'FAIL'}  {label}  |err|={err:.3e} (tol {tol:g})")
-    print(f"{args.case}: {sum(1 for l, e, t in rows if e <= t)}/{len(rows)} rows pass")
-    return EXIT_OK if all_ok else EXIT_NOT_CERTIFIED
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qe parser, built once per process."""
@@ -326,10 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, help="SVG output path")
     p.add_argument("--grid", type=int, default=513, help="profile grid size")
     p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("reproduce", help="run a built-in consistency case")
-    p.add_argument("case", choices=sorted(_CASES))
-    p.set_defaults(func=cmd_reproduce)
 
     return ap
 

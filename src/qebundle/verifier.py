@@ -30,10 +30,11 @@ fixed settings, whatever config the solution file carries) recomputes
 the integral over [0, s_*], cut at the spot points and the sign change:
 the sum of the pieces is the leftover defect, and the sums from 0 check
 the table at five interior points. Under a right blowdown alpha is
-anchored at s_* past the sign change, so alpha(s_*) = 0 there by
+anchored at s_* from the sign change on, so alpha(s_*) = 0 there by
 construction: that end is checked instead by the leftover defect and
-by two more spot points, 0.95 s_* and 0.99 s_*, against minus the sum
-of the pieces from s to s_*.
+by two more spot points, 0.95 s_* and 0.99 s_*. There every spot at or
+past the sign change takes minus the sum of the pieces from s to s_*,
+as alpha does.
 
 A profile is *certified* when every named check passes its tolerance.
 Tolerances are tiered by the weakest numerical ingredient of each
@@ -323,16 +324,17 @@ def verify(
     # quadrature, from one pass over [0, s_*] cut at the spot points: the
     # defect is the sum of all pieces, against the sum of their
     # magnitudes. alpha at five interior points takes the pieces from 0;
-    # under a right blowdown, where alpha anchors at s_*, two more next
-    # to that end take minus the pieces up to s_*.
-    from_end = [0.95, 0.99] if spec.right is EndpointType.BLOWDOWN else []
+    # under a right blowdown, where alpha anchors at s_* from the break
+    # on, the spots at or past the break, and two more next to that end,
+    # take minus the pieces up to s_*, as alpha does.
+    right_blowdown = spec.right is EndpointType.BLOWDOWN
+    from_end = [0.95, 0.99] if right_blowdown else []
     spot = s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9] + from_end)
     ends, pieces = sv._piece_integrals(params, spec, spot)
     defect, dscale = pieces.sum(), np.abs(pieces).sum()
     k = np.searchsorted(ends, spot)
-    spot_int = np.where(
-        spot > 0.9 * s_star, -np.cumsum(pieces[::-1])[::-1][k], np.cumsum(pieces)[k - 1]
-    )
+    past = spot >= (sv._integral_break(params, spec) if right_blowdown else np.inf)
+    spot_int = np.where(past, -np.cumsum(pieces[::-1])[::-1][k], np.cumsum(pieces)[k - 1])
     spot_quad = spot_int / (cf.V(spot, params, spec) * (spot + params.kappa0) ** (spec.m - 1.0))
     spot_worst = float(np.max(np.abs(sv.alpha(spot, params, spec) - spot_quad)))
 

@@ -286,6 +286,29 @@ def test_tail_spots_see_a_table_broken_next_to_a_right_blowdown(
     assert not report.certified
 
 
+@pytest.mark.parametrize(
+    "factors, m",
+    [
+        (((13, 13, 1), (6, 7, 1)), 5.051904464491117),
+        (((9, 22, 1), (18, 19, -1)), 22.69333405583672),
+    ],
+)
+def test_spots_past_the_break_take_the_tail_under_a_right_blowdown(factors, m):
+    # alpha anchors at s_* from the integrand's break on, so a spot
+    # between the break and 0.9 s_* is referenced by minus the pieces up
+    # to s_* too: the forward sum from 0 there carries D / (V x^(m-1)),
+    # which read 3.0 and 1.6e14 of the tolerance on these two specs
+    spec = BundleSpec(
+        factors=tuple(FactorSpec(*f) for f in factors), m=m, right=EndpointType.BLOWDOWN
+    )
+    profile = solve(spec)
+    assert solver._integral_break(profile.params, spec) < 0.9 * profile.params.s_star
+    report = verify(profile, spec)
+    check = report.checks["alpha_quad_spot"]
+    assert check["value"] < 1e-5 * check["tol"]
+    assert report.certified
+
+
 @pytest.mark.parametrize("name", ["ref", "blow", "right"])
 def test_verify_takes_the_fd_log_v_from_the_sampled_betas(name, request, monkeypatch):
     # fd_check differences sum_i n_i log beta_i of the (3, 10) stencil's
