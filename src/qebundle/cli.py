@@ -127,7 +127,12 @@ def cmd_verify(args) -> int:
         io.dump_json(doc, args.output)
     for name, c in report.checks.items():
         flag = "pass" if c["passed"] else "FAIL"
-        print(f"{flag}  {name:28s} value={c['value']: .6e}  tol={c['tol']:.3e}", file=sys.stderr)
+        margin = "-" if c["margin"] is None else f"{c['margin']:.3e}"
+        at = "" if c["worst_s"] is None else f"  at s={c['worst_s']:.6g}"
+        print(
+            f"{flag}  {name:28s} value={c['value']: .6e}  tol={c['tol']:.3e}  margin={margin}{at}",
+            file=sys.stderr,
+        )
     if not report.certified:
         print("certification FAILED", file=sys.stderr)
         return EXIT_NOT_CERTIFIED

@@ -41,11 +41,9 @@ U_CONVENTION = "u = -m*log(v), assuming v = exp(-u/m) (not stated by the constru
 
 def _to_json(value):
     """value as JSON data: a dataclass becomes an object in field order,
-    tuples and arrays become lists, anything else is returned as is."""
+    tuples become lists, anything else is returned as is."""
     if dataclasses.is_dataclass(value):
         return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, (tuple, list)):
         return [_to_json(v) for v in value]
     return value
@@ -62,8 +60,8 @@ _type_hints = functools.cache(typing.get_type_hints)
 def _from_json(cls, doc: dict):
     """Build dataclass cls from the entries of doc that its fields name.
 
-    Fields declared tuple or np.ndarray are rebuilt from JSON lists;
-    other keys in doc are ignored, and a missing one raises KeyError.
+    Fields declared tuple are rebuilt from JSON lists; other keys in
+    doc are ignored, and a missing one raises KeyError.
     A doc that is not an object, or a value of a type that cls cannot
     check, raises ValueError.
     """
@@ -77,8 +75,6 @@ def _from_json(cls, doc: dict):
             value = _from_json(tp, value)
         elif tp is tuple:
             value = _tuples(value)
-        elif tp is np.ndarray:
-            value = np.array(value)
         kwargs[f.name] = value
     try:
         return cls(**kwargs)
@@ -162,6 +158,11 @@ def report_to_dict(report: vf.ResidualReport) -> dict:
 
 
 def report_from_dict(doc: dict) -> vf.ResidualReport:
+    """Rebuild a ResidualReport from report JSON.
+
+    Keys that no field names are ignored, so a report from an older
+    version, with its six sampled arrays, loads.
+    """
     return _from_json(vf.ResidualReport, doc)
 
 

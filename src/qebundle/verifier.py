@@ -79,19 +79,18 @@ class ProfileSample:
 
 @dataclass
 class ResidualReport:
-    """Everything verify() measures, plus the pass/fail verdicts.
+    """The pass/fail verdicts of verify(), with what they measured.
 
-    checks maps a check name to {"value", "tol", "passed"}; certified
-    is the conjunction of all passed flags.
+    checks maps a check name to {"value", "tol", "passed", "margin",
+    "worst_s"}: margin is |value| / tol (None where tol is 0, and for
+    positivity, whose value is a flag), and worst_s is the s where a
+    check over a point set reached its value (the failed positivity
+    check's offending s; None for a check at fixed ends). certified is
+    the conjunction of all passed flags. The sampled arrays are not
+    kept: chebyshev_grid, sample_at and the residual functions give them.
     """
 
-    grid: np.ndarray
-    res_25: np.ndarray
-    res_26: np.ndarray
-    res_27: np.ndarray
-    mu_samples: np.ndarray
     mu_dev: float
-    ansatz_res: np.ndarray
     boundary: dict
     positivity_ok: bool
     positivity_violation: object
@@ -219,6 +218,16 @@ def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * 0.5 * (1.0 - np.cos(theta))
 
 
+def _worst(values, points):
+    """(max |values|, the point where it occurs), values holding one column per point.
+
+    A NaN counts as the largest value, as it does for np.max.
+    """
+    per_point = np.max(np.abs(values).reshape(-1, len(points)), axis=0)
+    k = np.argmax(per_point)
+    return float(per_point[k]), float(points[k])
+
+
 # Tolerance tiers (see module docstring).
 TOL_ALGEBRAIC = 1e-12
 TOL_RESIDUAL = 1e-8
@@ -261,13 +270,13 @@ def verify(
     grid = chebyshev_grid(delta, s_star - delta, grid_size)
     sample = sample_at(grid, params, spec)
 
-    res25 = residual_25(sample, spec)
-    res26 = residual_26(sample, spec)
-    res27 = residual_27(sample, spec).T
-    mu_s = mu_of_s(sample, spec)
-    ansatz = ansatz_residual(sample, spec).T
-    ansatz_scaled = np.abs(ansatz) / _ansatz_scale(sample, spec).T
-    mu_dev = float(np.max(np.abs(mu_s - params.E)) / max(1.0, abs(params.E)))
+    res25, res25_s = _worst(residual_25(sample, spec), grid)
+    res26, res26_s = _worst(residual_26(sample, spec), grid)
+    res27, res27_s = _worst(residual_27(sample, spec), grid)
+    mu_dev, mu_dev_s = _worst(mu_of_s(sample, spec) - params.E, grid)
+    mu_dev /= max(1.0, abs(params.E))
+    ansatz_scaled = np.abs(ansatz_residual(sample, spec)) / _ansatz_scale(sample, spec)
+    ansatz, ansatz_s = _worst(ansatz_scaled, grid)
 
     # Boundary values and slopes. alpha(s_*) under a right blowdown is 0
     # by construction (see solver.alpha).
@@ -309,15 +318,16 @@ def verify(
     lpp = fd.logV_second[1]  # pts[1] is fd_points exactly
     # sum_i n_i log beta_i from the betas sample_at has checked: no V to overflow
     logV = np.sum(cf.factor_constants(spec, 2)[0] * np.log(fd.beta), axis=0)
-    fd_worst = float(
-        np.max(
+    fd_worst, fd_s = _worst(
+        np.array(
             [
                 np.abs((a[2] - a[0]) / (2 * h) - ap[1]),
                 np.abs((ap[2] - ap[0]) / (2 * h) - app[1]),
                 np.abs((logV[2] - logV[0]) / (2 * h) - lp[1]) / np.maximum(1.0, np.abs(lp[1])),
                 np.abs((lp[2] - lp[0]) / (2 * h) - lpp) / np.maximum(1.0, np.abs(lpp)),
             ]
-        )
+        ),
+        fd_points,
     )
 
     # The leftover defect and the table alpha against adaptive
@@ -336,44 +346,47 @@ def verify(
     past = spot >= (sv._integral_break(params, spec) if right_blowdown else np.inf)
     spot_int = np.where(past, -np.cumsum(pieces[::-1])[::-1][k], np.cumsum(pieces)[k - 1])
     spot_quad = spot_int / (cf.V(spot, params, spec) * (spot + params.kappa0) ** (spec.m - 1.0))
-    spot_worst = float(np.max(np.abs(sv.alpha(spot, params, spec) - spot_quad)))
+    spot_worst, spot_s = _worst(sv.alpha(spot, params, spec) - spot_quad, spot)
 
     alpha_max = float(np.max(np.abs(alpha_grid)))
     checks = {}
 
-    def check(name, value, tol):
-        checks[name] = {"value": float(value), "tol": float(tol), "passed": bool(abs(value) <= tol)}
+    def check(name, value, tol, worst_s=None):
+        value, tol = float(value), float(tol)
+        checks[name] = {
+            "value": value,
+            "tol": tol,
+            "passed": abs(value) <= tol,
+            "margin": abs(value) / tol if tol > 0.0 else None,
+            "worst_s": worst_s,
+        }
 
-    check("res25_max", np.max(np.abs(res25)), TOL_RESIDUAL)
-    check("res26_max", np.max(np.abs(res26)), TOL_RESIDUAL)
-    check("res27_max", np.max(np.abs(res27)), TOL_RESIDUAL)
-    check("mu_dev", mu_dev, TOL_RESIDUAL)
-    check("ansatz_max", np.max(ansatz_scaled), TOL_ALGEBRAIC)
+    check("res25_max", res25, TOL_RESIDUAL, res25_s)
+    check("res26_max", res26, TOL_RESIDUAL, res26_s)
+    check("res27_max", res27, TOL_RESIDUAL, res27_s)
+    check("mu_dev", mu_dev, TOL_RESIDUAL, mu_dev_s)
+    check("ansatz_max", ansatz, TOL_ALGEBRAIC, ansatz_s)
     check("left_quadratic", qL, TOL_ALGEBRAIC * max(1.0, abs(params.E)))
     check("right_quadratic", qR, TOL_ALGEBRAIC * max(1.0, abs(params.E)))
     check("alpha_at_0", alpha_at_0, 0.0)
     check("alpha_at_sstar", alpha_at_sstar, TOL_ALPHA_END * max(1.0, alpha_max))
     check("slope_at_0_minus_2", boundary["slope_at_0_minus_2"], TOL_SLOPE)
     check("slope_at_sstar_plus_2", boundary["slope_at_sstar_plus_2"], TOL_SLOPE)
-    check("fd_check", fd_worst, TOL_FD)
+    check("fd_check", fd_worst, TOL_FD, fd_s)
     check("defect_at_root", defect, 10.0 * sv.QUAD_REL_TOL * max(1.0, dscale))
-    check("alpha_quad_spot", spot_worst, TOL_RESIDUAL * max(1.0, alpha_max))
+    check("alpha_quad_spot", spot_worst, TOL_RESIDUAL * max(1.0, alpha_max), spot_s)
     for name in [k for k in boundary if k.startswith("beta_")]:
         check(name, boundary[name], TOL_ALGEBRAIC)
     checks["positivity"] = {
         "value": 1.0 if positivity_ok else 0.0,
         "tol": 1.0,
         "passed": positivity_ok,
+        "margin": None,
+        "worst_s": None if positivity_ok else violation["s"],
     }
 
     return ResidualReport(
-        grid=grid,
-        res_25=res25,
-        res_26=res26,
-        res_27=res27,
-        mu_samples=mu_s,
         mu_dev=mu_dev,
-        ansatz_res=ansatz,
         boundary=boundary,
         positivity_ok=positivity_ok,
         positivity_violation=violation,

@@ -18,11 +18,15 @@ from qebundle import (
     EndpointType,
     FactorSpec,
     alpha,
+    ansatz_residual,
     boundary_slopes,
     chebyshev_grid,
     endpoint_quadratic_roots,
     energy_from_kappa0,
     params_from_kappa0,
+    residual_25,
+    residual_26,
+    residual_27,
     sample_at,
     solve,
     verify,
@@ -31,6 +35,23 @@ from qebundle.verifier import TOL_RESIDUAL
 
 COLLAPSE = EndpointType.SMOOTH_COLLAPSE
 BLOWDOWN = EndpointType.BLOWDOWN
+
+
+def grid_sample(profile, spec, grid_size):
+    """sample_at on the grid verify() samples at its default margin."""
+    s_star = profile.params.s_star
+    delta = 1e-3 * s_star
+    return sample_at(chebyshev_grid(delta, s_star - delta, grid_size), profile.params, spec)
+
+
+def residual_max(profile, spec, grid_size):
+    """max |residual| of equations (I)-(III) on verify()'s grid."""
+    smp = grid_sample(profile, spec, grid_size)
+    return max(
+        float(np.max(np.abs(residual_25(smp, spec)))),
+        float(np.max(np.abs(residual_26(smp, spec)))),
+        float(np.max(np.abs(residual_27(smp, spec)))),
+    )
 
 
 def announce(num, ok, detail):
@@ -129,9 +150,8 @@ def test_criterion_04_ansatz_identity(all_solved):
         report = verify(prof, spec, grid_size=64)
         worst_rel = max(worst_rel, report.checks["ansatz_max"]["value"])
         if spec.left is COLLAPSE and spec.right is COLLAPSE:
-            worst_raw_collapse = max(
-                worst_raw_collapse, float(np.max(np.abs(report.ansatz_res)))
-            )
+            raw = ansatz_residual(grid_sample(prof, spec, 64), spec)
+            worst_raw_collapse = max(worst_raw_collapse, float(np.max(np.abs(raw))))
     ok = worst_rel < 1e-12 and worst_raw_collapse < 1e-12
     announce(
         4, ok, f"ansatz identity on all solved profiles; max relative "
@@ -140,13 +160,9 @@ def test_criterion_04_ansatz_identity(all_solved):
     assert ok
 
 
-def test_criterion_05_reference_certification(ref_profile, ref_report_512):
+def test_criterion_05_reference_certification(ref_spec, ref_profile, ref_report_512):
     k_dev = abs(ref_profile.params.kappa0 - orc.K0_REF)
-    res = max(
-        float(np.max(np.abs(ref_report_512.res_25))),
-        float(np.max(np.abs(ref_report_512.res_26))),
-        float(np.max(np.abs(ref_report_512.res_27))),
-    )
+    res = residual_max(ref_profile, ref_spec, 512)
     ok = k_dev < 1e-10 and res < 1e-8 and ref_report_512.mu_dev < 1e-8
     announce(
         5, ok, f"reference root within {k_dev:.2e} of frozen oracle; 512-grid "
@@ -182,11 +198,7 @@ def test_criterion_07_blowdown_instance(blow_spec, blow_profile, blow_report_512
     b, bp, _ = beta_jet(0.0, p, blow_spec)
     b0 = abs(b[0])
     bp0 = abs(bp[0] - 1.0)
-    res = max(
-        float(np.max(np.abs(blow_report_512.res_25))),
-        float(np.max(np.abs(blow_report_512.res_26))),
-        float(np.max(np.abs(blow_report_512.res_27))),
-    )
+    res = residual_max(blow_profile, blow_spec, 512)
     ok = (
         k_dev < 1e-10
         and b0 < 1e-12

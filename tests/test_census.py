@@ -85,7 +85,8 @@ def census():
 def test_census_counts_and_every_root_certifies(census):
     # 135 specs: 99 solve and every one certifies, 36 raise
     # NoSignChangeError; no check of a certified report uses a tenth of
-    # its tolerance (value/tol over the checks with tol > 0, positivity aside)
+    # its tolerance (the margin |value|/tol, set on the checks with tol > 0,
+    # positivity aside)
     with_root = {key: c for key, c in census.items() if c.profile is not None}
     uncertified, worst = [], (0.0, None, None)
     for key, c in with_root.items():
@@ -93,8 +94,8 @@ def test_census_counts_and_every_root_certifies(census):
         if not report.certified:
             uncertified.append(key)
         for name, check in report.checks.items():
-            if name != "positivity" and check["tol"] > 0.0:
-                worst = max(worst, (abs(check["value"]) / check["tol"], name, key))
+            if check["margin"] is not None:
+                worst = max(worst, (check["margin"], name, key))
     assert (len(census), len(with_root), len(census) - len(with_root)) == (135, 99, 36)
     assert uncertified == []
     assert worst[0] < 0.1, worst

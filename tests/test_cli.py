@@ -13,7 +13,20 @@ import numpy as np
 import pytest
 
 import qebundle
-from qebundle import SolverConfig, reconstruct_t, solve, spec_to_dict, verify
+from qebundle import (
+    SolverConfig,
+    ansatz_residual,
+    chebyshev_grid,
+    mu_of_s,
+    reconstruct_t,
+    residual_25,
+    residual_26,
+    residual_27,
+    sample_at,
+    solve,
+    spec_to_dict,
+    verify,
+)
 from qebundle import cli
 from qebundle import output as io
 from qebundle.cli import main
@@ -87,8 +100,39 @@ def test_report_round_trip(ref_report, tmp_path):
     rep2 = report_from_dict(load_json(path))
     assert rep2.certified == ref_report.certified
     assert rep2.checks == ref_report.checks
-    assert np.array_equal(rep2.grid, ref_report.grid)
-    assert np.array_equal(rep2.res_25, ref_report.res_25)
+    assert rep2 == ref_report  # float repr round-trips exactly
+
+
+def test_report_from_an_older_version_loads(ref_profile, ref_spec):
+    # reports written before margins, in this key order, carried six
+    # sampled arrays and checks of value, tol and passed only; the arrays
+    # are ignored on read
+    new = report_to_dict(verify(ref_profile, ref_spec, grid_size=16))
+    s_star = ref_profile.params.s_star
+    grid = chebyshev_grid(1e-3 * s_star, s_star - 1e-3 * s_star, 16)
+    sample = sample_at(grid, ref_profile.params, ref_spec)
+    old = {
+        "grid": grid.tolist(),
+        "res_25": residual_25(sample, ref_spec).tolist(),
+        "res_26": residual_26(sample, ref_spec).tolist(),
+        "res_27": residual_27(sample, ref_spec).T.tolist(),
+        "mu_samples": mu_of_s(sample, ref_spec).tolist(),
+        "mu_dev": new["mu_dev"],
+        "ansatz_res": ansatz_residual(sample, ref_spec).T.tolist(),
+        "boundary": new["boundary"],
+        "positivity_ok": new["positivity_ok"],
+        "positivity_violation": new["positivity_violation"],
+        "fd_check": new["fd_check"],
+        "checks": {
+            name: {key: c[key] for key in ("value", "tol", "passed")}
+            for name, c in new["checks"].items()
+        },
+        "certified": new["certified"],
+    }
+    report = report_from_dict(json.loads(json.dumps(old)))
+    assert report.certified is True
+    assert report.checks == old["checks"]
+    assert report_to_dict(report) == {k: old[k] for k in REPORT_KEYS}
 
 
 SOLUTION_KEYS = [
@@ -104,13 +148,7 @@ SOLUTION_KEYS = [
 CONFIG_KEYS = ["bracket", "scan_points", "root_tol"]
 PARAMS_KEYS = ["kappa0", "E", "s_star", "A"]
 REPORT_KEYS = [
-    "grid",
-    "res_25",
-    "res_26",
-    "res_27",
-    "mu_samples",
     "mu_dev",
-    "ansatz_res",
     "boundary",
     "positivity_ok",
     "positivity_violation",
@@ -118,6 +156,7 @@ REPORT_KEYS = [
     "checks",
     "certified",
 ]
+CHECK_KEYS = ["value", "tol", "passed", "margin", "worst_s"]
 
 
 @pytest.fixture()
@@ -134,7 +173,9 @@ def test_solution_and_report_key_order(solution_file, report_file):
     assert list(doc) == SOLUTION_KEYS
     assert list(doc["config"]) == CONFIG_KEYS
     assert list(doc["params"]) == PARAMS_KEYS
-    assert list(load_json(report_file)) == REPORT_KEYS
+    report = load_json(report_file)
+    assert list(report) == REPORT_KEYS
+    assert all(list(c) == CHECK_KEYS for c in report["checks"].values())
 
 
 def test_verify_ignores_quadrature_settings_in_the_file(solution_file, report_file, tmp_path):
@@ -568,6 +609,21 @@ def test_cli_verify_certifies(solution_file, tmp_path, capsys):
     assert printed.count("pass") >= 10
     doc = load_json(out)
     assert doc["certified"] is True
+
+
+def test_cli_verify_prints_each_margin_and_worst_s(solution_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", solution_file, "--grid", "64", "-o", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    checks = load_json(out)["checks"]
+    assert len(lines) == len(checks) + 1 and lines[-1] == "certified"
+    for line, (name, c) in zip(lines, checks.items()):
+        margin = "-" if c["margin"] is None else f"{c['margin']:.3e}"
+        at = "" if c["worst_s"] is None else f"  at s={c['worst_s']:.6g}"
+        assert line == (
+            f"pass  {name:28s} value={c['value']: .6e}  tol={c['tol']:.3e}  margin={margin}{at}"
+        )
+    assert sum("  at s=" in line for line in lines) == 7  # the point-set checks
 
 
 def test_cli_verify_tampered_solution_fails(solution_file, tmp_path, capsys):

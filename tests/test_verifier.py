@@ -155,12 +155,75 @@ def test_report_residual_levels(ref_report):
     assert ref_report.fd_check < 1e-6
 
 
-def test_report_grid_respects_margins(ref_report, ref_profile):
+def _verifier_grid(profile, grid_size):
+    """The grid verify() samples at its default margin, from the public function."""
+    s_star = profile.params.s_star
+    delta = 1e-3 * s_star
+    return chebyshev_grid(delta, s_star - delta, grid_size)
+
+
+def test_report_grid_respects_margins(ref_profile):
     s_star = ref_profile.params.s_star
     delta = 1e-3 * s_star
-    assert ref_report.grid[0] >= delta
-    assert ref_report.grid[-1] <= s_star - delta
-    assert len(ref_report.grid) == 201
+    grid = _verifier_grid(ref_profile, 201)
+    assert grid[0] >= delta
+    assert grid[-1] <= s_star - delta
+    assert len(grid) == 201
+
+
+# the checks taken over a point set; every other check is at fixed ends
+POINT_SET_CHECKS = (
+    "res25_max",
+    "res26_max",
+    "res27_max",
+    "mu_dev",
+    "ansatz_max",
+    "fd_check",
+    "alpha_quad_spot",
+)
+
+
+@pytest.mark.parametrize("name", ["ref", "blow", "right", "both"])
+def test_report_margin_is_value_over_tol(request, name):
+    spec, profile = (request.getfixturevalue(f"{name}_{part}") for part in ("spec", "profile"))
+    report = verify(profile, spec, grid_size=64)
+    for check, c in report.checks.items():
+        if c["tol"] > 0.0 and check != "positivity":
+            assert c["margin"] == abs(c["value"]) / c["tol"], check
+        else:
+            assert c["margin"] is None, check
+    assert report.checks["alpha_at_0"]["margin"] is None  # tol 0
+
+
+@pytest.mark.parametrize("name", ["ref", "blow", "right", "both"])
+def test_report_worst_s_is_where_each_maximum_occurs(request, name):
+    spec, profile = (request.getfixturevalue(f"{name}_{part}") for part in ("spec", "profile"))
+    p = profile.params
+    report = verify(profile, spec, grid_size=64)
+    grid = _verifier_grid(profile, 64)
+    smp = sample_at(grid, p, spec)
+    b, bp, bpp = smp.beta, smp.beta_prime, smp.beta_second
+    q = np.array([f.q for f in spec.factors], dtype=float)[:, None]
+    scale = np.maximum(np.maximum(np.abs(bpp / b), 0.5 * (bp / b) ** 2), q**2 / (2.0 * b * b))
+    on_grid = {
+        "res25_max": np.abs(residual_25(smp, spec)),
+        "res26_max": np.abs(residual_26(smp, spec)),
+        "res27_max": np.max(np.abs(residual_27(smp, spec)), axis=0),
+        "mu_dev": np.abs(mu_of_s(smp, spec) - p.E),
+        "ansatz_max": np.max(np.abs(ansatz_residual(smp, spec)) / scale, axis=0),
+    }
+    for check, per_point in on_grid.items():
+        assert report.checks[check]["worst_s"] == grid[np.argmax(per_point)], check
+    fd_points = np.linspace(0.1 * p.s_star, 0.9 * p.s_star, 10)
+    assert report.checks["fd_check"]["worst_s"] in fd_points
+    spots = p.s_star * np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+    assert report.checks["alpha_quad_spot"]["worst_s"] in spots
+    delta = 1e-3 * p.s_star
+    for check, c in report.checks.items():
+        if check in POINT_SET_CHECKS:
+            assert delta <= c["worst_s"] <= p.s_star - delta, check
+        else:
+            assert c["worst_s"] is None, check
 
 
 def test_report_boundary_block(ref_report):
@@ -194,6 +257,7 @@ def test_wrong_root_profile_fails_positivity(ref_profile, ref_spec):
     assert not report.positivity_ok
     assert report.positivity_violation["value"] <= 0.0
     assert report.positivity_violation["factor"] is None  # alpha, not a beta
+    assert report.checks["positivity"]["worst_s"] == report.positivity_violation["s"]
 
 
 def test_nan_alpha_fails_positivity(ref_profile, ref_spec, monkeypatch):
@@ -204,7 +268,9 @@ def test_nan_alpha_fails_positivity(ref_profile, ref_spec, monkeypatch):
     assert not report.positivity_ok
     assert not report.checks["positivity"]["passed"]
     assert report.positivity_violation["factor"] is None
-    assert report.positivity_violation["s"] == report.grid[0]
+    first = _verifier_grid(ref_profile, 64)[0]
+    assert report.positivity_violation["s"] == first
+    assert report.checks["positivity"]["worst_s"] == first
     assert np.isnan(report.positivity_violation["value"])
 
 
